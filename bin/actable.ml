@@ -343,24 +343,16 @@ let txserve_cmd =
       & info [ "think" ] ~docv:"DELAYS"
           ~doc:"Max client think time between transactions, units of U.")
   in
-  let hot_fraction_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "hot-fraction" ] ~docv:"P"
-          ~doc:
-            "Legacy contention alias: share of accesses aimed at the hot \
-             set, translated to the equivalent Zipf exponent. Ignored \
-             when --zipf-s is given.")
-  in
   let zipf_s_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt float Commit_service.default.Commit_service.zipf_s
       & info [ "zipf-s" ] ~docv:"S"
           ~doc:
             "Key-popularity exponent: rank i is drawn with probability \
-             proportional to 1/(i+1)^S (0 = uniform). Overrides the \
-             legacy --hot-fraction alias.")
+             proportional to 1/(i+1)^S (0 = uniform). The default is the \
+             exponent under which the 16 hottest of 2048 keys draw 10% \
+             of the accesses.")
   in
   let election_timeout_arg =
     Arg.(
@@ -443,31 +435,14 @@ let txserve_cmd =
             "Exit nonzero when committed transactions per wall-clock \
              second fall below this floor.")
   in
-  let admission_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("queue", Commit_service.Queue_waiters);
-               ("abort", Commit_service.Abort_on_conflict);
-             ])
-          Commit_service.Queue_waiters
-      & info [ "admission" ] ~docv:"MODE"
-          ~doc:
-            "Conflict policy at admission: 'queue' (default) parks the \
-             transaction FIFO on the lock-holding instance and re-admits \
-             it when that instance resolves; 'abort' rejects it locally \
-             (the coordinator-side OCC check).")
-  in
   let wait_budget_arg =
     Arg.(
       value & opt int 64
       & info [ "wait-budget" ] ~docv:"K"
           ~doc:
-            "Max times a transaction may re-queue under --admission queue \
-             before it falls back to a local abort (0 degenerates to \
-             abort-on-conflict).")
+            "Max times a transaction may wait FIFO on the instance holding \
+             one of its keys before it aborts locally. 0 aborts on every \
+             conflict (the coordinator-side OCC check).")
   in
   let keys_arg =
     Arg.(
@@ -504,8 +479,8 @@ let txserve_cmd =
              soak CI leg uses.")
   in
   let action protocol n f seed consensus network clients txns max_batch
-      batch_window pipeline think hot_fraction zipf_s election_timeout
-      require_drained outages floor admission wait_budget keys soak
+      batch_window pipeline think zipf_s election_timeout require_drained
+      outages floor wait_budget keys soak
       flush_every words_ceiling =
     let network =
       match network with
@@ -526,9 +501,7 @@ let txserve_cmd =
         batch_window = ticks batch_window;
         max_batch;
         pipeline_depth = pipeline;
-        admission;
         wait_budget;
-        hot_fraction;
         zipf_s;
         election_timeout =
           (if election_timeout <= 0.0 then None
@@ -578,10 +551,10 @@ let txserve_cmd =
     Term.(
       const action $ protocol_arg $ n_arg $ f_arg $ seed_arg $ consensus_arg
       $ svc_network_arg $ clients_arg $ txns_arg $ max_batch_arg
-      $ batch_window_arg $ pipeline_arg $ think_arg $ hot_fraction_arg
-      $ zipf_s_arg $ election_timeout_arg $ require_drained_arg $ outage_arg
-      $ floor_arg $ admission_arg $ wait_budget_arg $ keys_arg $ soak_arg
-      $ flush_every_arg $ words_ceiling_arg)
+      $ batch_window_arg $ pipeline_arg $ think_arg $ zipf_s_arg
+      $ election_timeout_arg $ require_drained_arg $ outage_arg $ floor_arg
+      $ wait_budget_arg $ keys_arg $ soak_arg $ flush_every_arg
+      $ words_ceiling_arg)
 
 let stress_cmd =
   let runs_arg =

@@ -1,19 +1,14 @@
-type admission = Queue_waiters | Abort_on_conflict
-
 type spec = {
   clients : int;
   txns : int;
   think_gap : Sim_time.t;
   keys : int;
-  hot_keys : int;
-  hot_fraction : float;
-  zipf_s : float option;
+  zipf_s : float;
   reads_per_txn : int;
   writes_per_txn : int;
   batch_window : Sim_time.t;
   max_batch : int;
   pipeline_depth : int;
-  admission : admission;
   wait_budget : int;
   network : Network.t;
   outages : (int * Sim_time.t * Sim_time.t option) list;
@@ -32,15 +27,15 @@ let default =
     txns = 1000;
     think_gap = u;
     keys = 2048;
-    hot_keys = 16;
-    hot_fraction = 0.1;
-    zipf_s = None;
+    (* the exponent under which the 16 hottest of 2048 keys draw 10% of
+       the accesses: Workload.Zipf.(s (of_hot ~keys:2048 ~hot_keys:16
+       ~hot_fraction:0.1)), written out so start-up does no bisection *)
+    zipf_s = 0x1.24139f98d46p-1;
     reads_per_txn = 2;
     writes_per_txn = 2;
     batch_window = u / 2;
     max_batch = 8;
     pipeline_depth = 64;
-    admission = Queue_waiters;
     wait_budget = 64;
     network = Network.jittered ~u;
     outages = [];
@@ -54,13 +49,11 @@ let default =
 
 type stats = {
   protocol : string;
-  admission_mode : string;
   transactions : int;
   committed : int;
   aborted : int;
   local_aborts : int;
   queued : int;
-  queue_aborts : int;
   parked : int;
   instances : int;
   retries : int;
@@ -105,14 +98,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
     | Crash of Pid.t
 
-  type sev =
-    | Submit of int  (* client id *)
-    | Launch_batch of int  (* batch-window expiry *)
-    | Outage of Pid.t
-    | Recover of Pid.t
-    | Elect  (* election timer of the instance the event is tagged with *)
-    | Inst of iev
-
   (* A transaction waiting in / running through an instance:
      (txn, client, submitted_at). *)
   type member = Txn.t * int * Sim_time.t
@@ -131,8 +116,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     mutable elected : bool;  (* current drive is a stand-in replay *)
     mutable parked_at : Sim_time.t option;  (* first park instant *)
     waiters : waiter Queue.t;
-        (* queued admission: transactions blocked on a write lock this
-           instance holds, FIFO; released when the instance resolves *)
+        (* transactions blocked on a write lock this instance holds, FIFO;
+           released when the instance resolves *)
   }
 
   and waiter = {
@@ -144,23 +129,24 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   type batch = {
-    b_id : int;
     owners : string;  (* canonical write-owner-set key *)
     mutable b_members : waiter list;  (* newest first *)
     mutable b_launched : bool;
   }
 
+  type sev =
+    | Submit of int  (* client id *)
+    | Launch_batch of batch  (* batch-window expiry *)
+    | Outage of Pid.t
+    | Recover of Pid.t
+    | Elect  (* election timer of the instance the event is tagged with *)
+    | Inst of iev
+
   let run ?observe ~n ~f (spec : spec) : stats =
     let u = Sim_time.default_u in
     let env_of pid = { Proto.n; f; u; self = pid } in
     let rng = Rng.create spec.seed in
-    let dist =
-      match spec.zipf_s with
-      | Some s -> Workload.Zipf.make ~keys:spec.keys ~s
-      | None ->
-          Workload.Zipf.of_hot ~keys:spec.keys ~hot_keys:spec.hot_keys
-            ~hot_fraction:spec.hot_fraction
-    in
+    let dist = Workload.Zipf.make ~keys:spec.keys ~s:spec.zipf_s in
     let q : sev Mux.t = Mux.create () in
     let stores = Array.init n (fun _ -> Kv_store.create ()) in
     let all_pids = Pid.all ~n in
@@ -169,9 +155,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        its owner once, so the generator never formats a key string again *)
     let key_names = Array.init spec.keys (fun i -> Printf.sprintf "k%d" i) in
     let key_owner = Array.map owner_of key_names in
-    (* write locks held by launched-but-unresolved instances; a key may
-       appear once per holding instance. Holding the instance record (not
-       just its id) lets queued admission reach the holder's wait queue. *)
+    (* write locks held by launched-but-unresolved instances. Admission
+       and launch both turn away a transaction any of whose keys is held,
+       so a key has at most one holder. Holding the instance record (not
+       just its id) lets admission reach the holder's wait queue. *)
     let locks : (string, inst) Hashtbl.t array =
       Array.init n (fun _ -> Hashtbl.create 64)
     in
@@ -181,29 +168,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let local_writes pid (txn : Txn.t) =
       List.filter (fun (k, _) -> Pid.equal (owner_of k) pid) txn.Txn.writes
     in
-    let local_reads pid (txn : Txn.t) =
-      List.filter (fun (k, _) -> Pid.equal (owner_of k) pid) txn.Txn.reads
-    in
 
-    let lock_add pid key inst = Hashtbl.add locks.(Pid.index pid) key inst in
+    let lock_add pid key inst =
+      let h = locks.(Pid.index pid) in
+      assert (not (Hashtbl.mem h key));
+      Hashtbl.replace h key inst
+    in
     let lock_release pid inst =
       let h = locks.(Pid.index pid) in
-      let keys =
-        Hashtbl.fold
-          (fun k holder acc ->
-            if holder == inst && not (List.mem k acc) then k :: acc else acc)
-          h []
-      in
       List.iter
-        (fun k ->
-          let others =
-            List.filter (fun holder -> holder != inst) (Hashtbl.find_all h k)
-          in
-          while Hashtbl.mem h k do
-            Hashtbl.remove h k
-          done;
-          List.iter (fun holder -> Hashtbl.add h k holder) others)
-        keys
+        (fun ((txn : Txn.t), _, _) ->
+          List.iter
+            (fun (k, _) -> if Pid.equal (owner_of k) pid then Hashtbl.remove h k)
+            txn.Txn.writes)
+        inst.i_members
     in
     let rec holder_of = function
       | [] -> None
@@ -258,14 +236,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let stolen = ref 0 in
     let members_launched = ref 0 in
 
-    let batches : (int, batch) Hashtbl.t = Hashtbl.create 64 in
     let open_batches : batch list ref = ref [] in
-    let next_batch = ref 0 in
     let ready : batch Queue.t = Queue.create () in
 
     let issued = ref 0 in
     let committed = ref 0 and aborted = ref 0 and local_aborts = ref 0 in
-    let queued = ref 0 and queue_aborts = ref 0 in
+    let queued = ref 0 in
     let total_waiting = ref 0 in
     (* soak mode swaps the exact (every-sample-retained) histograms for
        fixed-bin streaming ones: same summary interface, constant memory,
@@ -382,27 +358,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        when the holder resolves), unless waiting cannot help — the holder
        already decided, so its remaining locks release only when a dead
        shard recovers — or [w] has exhausted its wait budget; then it
-       falls back to the local abort the OCC check would have taken.
+       aborts locally (budget 0 is the optimistic OCC check).
        Waiters hold no locks while they wait, so there is no hold-and-wait
        and queues cannot deadlock; the budget bounds re-conflict chains,
        so they cannot livelock either. *)
     let wait_or_abort now (w : waiter) (holder : inst) =
-      match spec.admission with
-      | Abort_on_conflict ->
-          incr local_aborts;
-          client_resubmit now w.w_client
-      | Queue_waiters ->
-          if holder.outcome <> None || w.w_waits >= spec.wait_budget then begin
-            incr local_aborts;
-            incr queue_aborts;
-            client_resubmit now w.w_client
-          end
-          else begin
-            if w.w_waits = 0 then incr queued;
-            incr total_waiting;
-            Histogram.add queue_depth (float_of_int !total_waiting);
-            Queue.push w holder.waiters
-          end
+      if holder.outcome <> None || w.w_waits >= spec.wait_budget then begin
+        incr local_aborts;
+        client_resubmit now w.w_client
+      end
+      else begin
+        if w.w_waits = 0 then incr queued;
+        incr total_waiting;
+        Histogram.add queue_depth (float_of_int !total_waiting);
+        Queue.push w holder.waiters
+      end
     in
 
     let start_members now (members : member list) =
@@ -453,9 +423,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               waiters = Queue.create ();
             }
       in
-      (* per-shard vote: optimistic read validation, and no key of the
-         batch may be write-locked by another in-flight instance (our own
-         locks are not yet added) *)
+      (* per-shard vote: optimistic read validation. No key of the batch
+         is write-locked by another instance — launch turned those members
+         away — so validating the reads is the whole certification. *)
       for i = 0 to n - 1 do
         let pid = Pid.of_index i in
         let store = stores.(i) in
@@ -465,12 +435,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                (fun ((txn : Txn.t), _, _) ->
                  List.for_all
                    (fun (k, expected) ->
-                     Kv_store.version store ~key:k = expected)
-                   (local_reads pid txn)
-                 && List.for_all
-                      (fun k -> not (Hashtbl.mem locks.(i) k))
-                      (List.map fst (local_reads pid txn)
-                      @ List.map fst (local_writes pid txn)))
+                     (not (Pid.equal (owner_of k) pid))
+                     || Kv_store.version store ~key:k = expected)
+                   txn.Txn.reads)
                members)
       done;
       List.iter
@@ -487,18 +454,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     (* Conflicts that developed after admission (inside the batch window,
        or while the batch sat behind the pipeline cap) would only launch
-       an instance doomed to No votes: under queued admission, re-queue
-       those members on the holder instead and launch the rest. Under
-       abort-on-conflict they launch and surface as genuine No votes, as
-       they always did. *)
+       an instance doomed to No votes: re-queue those members on the
+       holder instead (or abort them locally) and launch the rest. *)
     let start_instance now (waiters_in : waiter list) =
       let members =
         List.filter_map
           (fun (w : waiter) ->
-            match
-              if spec.admission = Queue_waiters then holder_of w.w_keys
-              else None
-            with
+            match holder_of w.w_keys with
             | Some holder ->
                 wait_or_abort now w holder;
                 None
@@ -517,8 +479,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let launch_batch now b =
       if (not b.b_launched) && b.b_members <> [] then begin
         b.b_launched <- true;
-        Hashtbl.remove batches b.b_id;
-        open_batches := List.filter (fun ob -> ob.b_id <> b.b_id) !open_batches;
+        open_batches := List.filter (fun ob -> ob != b) !open_batches;
         Queue.push b ready;
         launch_ready now
       end
@@ -642,23 +603,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           b.b_members <- w :: b.b_members;
           if List.length b.b_members >= spec.max_batch then launch_batch now b
       | None ->
-          let b =
-            {
-              b_id = !next_batch;
-              owners = okey;
-              b_members = [ w ];
-              b_launched = false;
-            }
-          in
-          incr next_batch;
-          Hashtbl.replace batches b.b_id b;
+          let b = { owners = okey; b_members = [ w ]; b_launched = false } in
           open_batches := b :: !open_batches;
           if spec.batch_window = 0 || spec.max_batch <= 1 then
             launch_batch now b
           else
             Mux.add q ~instance:(-1)
               ~time:(Sim_time.( + ) now spec.batch_window)
-              ~klass:service_class (Launch_batch b.b_id)
+              ~klass:service_class (Launch_batch b)
     in
 
     let admit_or_wait now (w : waiter) =
@@ -837,10 +789,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                 w_waits = 0;
               }
           end
-      | Launch_batch b_id -> (
-          match Hashtbl.find_opt batches b_id with
-          | Some b -> launch_batch now b
-          | None -> ())
+      | Launch_batch b -> launch_batch now b
       | Outage pid ->
           down.(Pid.index pid) <- true;
           (* every in-flight instance sees the shard crash *)
@@ -971,16 +920,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let instances_n = !next_inst in
     {
       protocol = P.name;
-      admission_mode =
-        (match spec.admission with
-        | Queue_waiters -> "queue"
-        | Abort_on_conflict -> "abort");
       transactions = !issued;
       committed = !committed;
       aborted = !aborted;
       local_aborts = !local_aborts;
       queued = !queued;
-      queue_aborts = !queue_aborts;
       parked;
       instances = instances_n;
       retries = !retries;
@@ -1048,17 +992,15 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "@[<v2>%s: %d txns -> %d committed, %d aborted (%d local), %d \
      unresolved@,\
-     admission %s: %d waited, %d queue aborts, goodput %.3f, queue depth \
-     %a@,\
+     %d waited, goodput %.3f, queue depth %a@,\
      %d instances (+%d retries, %d elections -> %d stolen), mean batch \
      %.2f, peak in-flight %d@,\
      %d msgs, %d staged left, makespan %.1f delays, zipf s=%.3f@,\
      latency %a@,\
      %.0f commits/sec (wall %.3fs), %.0f minor words/txn%s%s@]"
     s.protocol s.transactions s.committed (s.aborted + s.local_aborts)
-    s.local_aborts s.parked s.admission_mode s.queued s.queue_aborts
-    s.goodput Histogram.pp_summary s.queue_depth s.instances s.retries
-    s.elections s.stolen s.mean_batch s.peak_in_flight s.total_messages
+    s.local_aborts s.parked s.queued s.goodput Histogram.pp_summary
+    s.queue_depth s.instances s.retries s.elections s.stolen s.mean_batch s.peak_in_flight s.total_messages
     s.staged_left s.makespan_delays s.zipf_s Histogram.pp_summary s.latency
     s.commits_per_sec s.wall_seconds s.minor_words_per_txn
     (if s.atomicity_ok then "" else "  ATOMICITY VIOLATED")
@@ -1077,13 +1019,11 @@ let arm_json_body (s : stats) =
   in
   String.concat ""
     [
-      Printf.sprintf "\"admission\": \"%s\", " s.admission_mode;
       Printf.sprintf "\"transactions\": %d, " s.transactions;
       Printf.sprintf "\"committed\": %d, " s.committed;
       Printf.sprintf "\"aborted\": %d, " s.aborted;
       Printf.sprintf "\"local_aborts\": %d, " s.local_aborts;
       Printf.sprintf "\"queued\": %d, " s.queued;
-      Printf.sprintf "\"queue_aborts\": %d, " s.queue_aborts;
       Printf.sprintf "\"parked\": %d, " s.parked;
       Printf.sprintf "\"instances\": %d, " s.instances;
       Printf.sprintf "\"retries\": %d, " s.retries;

@@ -25,16 +25,18 @@
       a shard participates in instance [k+1] while [k] is still deciding.
       Ready batches beyond the cap queue and launch as instances retire.
     - {b Admission}: a transaction that arrives while one of its keys is
-      write-locked by an in-flight instance either aborts locally
-      ([Abort_on_conflict], the coordinator-side OCC check) or joins the
-      holding instance's FIFO wait queue and re-admits when that instance
-      resolves ([Queue_waiters], the default). Waiters hold no locks
-      while they wait, so queues cannot deadlock; [wait_budget] bounds
-      how often a transaction may re-queue before falling back to a local
-      abort, so re-conflict chains cannot livelock. A waiter whose
-      conflicting holder already {e decided} (its remaining locks release
-      only when a dead shard recovers) aborts immediately — queues drain
-      on every decision, election takeover and recovery adoption.
+      write-locked by an in-flight instance joins the holding instance's
+      FIFO wait queue and re-admits when that instance resolves. Waiters
+      hold no locks while they wait, so queues cannot deadlock;
+      [wait_budget] bounds how often a transaction may re-queue before it
+      aborts locally, so re-conflict chains cannot livelock, and budget 0
+      aborts on every conflict (the coordinator-side OCC check). A waiter
+      whose conflicting holder already {e decided} (its remaining locks
+      release only when a dead shard recovers) aborts immediately — queues
+      drain on every decision, election takeover and recovery adoption.
+      The same check runs again when a batch launches, so no two launched
+      instances ever hold the same key: each shard keeps one holder per
+      key, and its vote is read validation alone.
     - {b Blocking and recovery}: an instance that quiesces with no
       decision (2PC whose coordinator shard is down) {e parks} — its
       staged writes and write locks stay put, its clients stall, but the
@@ -72,23 +74,15 @@
     instances are checked as they leave; the end-of-run pass covers
     whatever is still live. *)
 
-type admission =
-  | Queue_waiters
-      (** queue on the holding instance, FIFO per conflict, bounded by
-          [wait_budget] re-queues *)
-  | Abort_on_conflict  (** abort locally at admission (the OCC check) *)
-
 type spec = {
   clients : int;  (** closed-loop clients *)
   txns : int;  (** total transactions to issue across all clients *)
   think_gap : Sim_time.t;
       (** max client think time between decision and next submit *)
   keys : int;  (** keyspace size, keys "k0" .. "k<keys-1>" *)
-  hot_keys : int;  (** legacy contention alias, see {!Workload.Zipf.of_hot} *)
-  hot_fraction : float;  (** legacy contention alias *)
-  zipf_s : float option;
-      (** key-popularity exponent; [None] derives it from the legacy
-          [hot_keys]/[hot_fraction] pair *)
+  zipf_s : float;
+      (** key-popularity exponent, see {!Workload.Zipf.make}; 0 is
+          uniform *)
   reads_per_txn : int;
   writes_per_txn : int;  (** >= 1 *)
   batch_window : Sim_time.t;
@@ -96,10 +90,10 @@ type spec = {
           batching (every transaction gets its own instance) *)
   max_batch : int;  (** transactions per instance cap *)
   pipeline_depth : int;  (** concurrent instances cap; 1 serializes *)
-  admission : admission;  (** conflict policy at admission *)
   wait_budget : int;
-      (** max re-queues per transaction under [Queue_waiters] before it
-          falls back to a local abort; 0 degenerates to abort-on-conflict *)
+      (** max re-queues per transaction on a lock holder before it aborts
+          locally; 0 aborts on every conflict, at admission and at
+          launch *)
   network : Network.t;
   outages : (int * Sim_time.t * Sim_time.t option) list;
       (** shard outages: (rank, down_at, back_at); [None] never recovers *)
@@ -123,27 +117,24 @@ type spec = {
 }
 
 val default : spec
-(** 128 clients, 1000 txns, 2048 keys (16 hot at 0.1, as a Zipf alias),
-    2 reads + 2 writes, batches of up to 8 within half a delay, pipeline
-    depth 64, queued admission with a 64-wait budget, jittered network,
-    no outages, election timeout 12 delays, machine recycling on. *)
+(** 128 clients, 1000 txns, 2048 keys at Zipf exponent [0x1.24139f98d46p-1]
+    (about 0.5705: the 16 hottest keys draw 10% of the accesses), 2 reads
+    + 2 writes, batches of up to 8 within half a delay, pipeline depth 64,
+    a 64-wait budget, jittered network, no outages, election timeout 12
+    delays, machine recycling on. *)
 
 type stats = {
   protocol : string;
-  admission_mode : string;  (** "queue" or "abort" *)
   transactions : int;  (** issued *)
   committed : int;
   aborted : int;  (** aborted by a protocol instance's decision *)
   local_aborts : int;
-      (** aborted at admission: a key was write-locked by an in-flight
-          instance and the transaction did not (or could no longer) wait *)
+      (** aborted at admission or launch without an instance: a key was
+          write-locked by an in-flight instance and the wait budget ran
+          out, or the holder had already decided (its locks release only
+          on a recovery, so waiting is unbounded) *)
   queued : int;
       (** transactions that waited on a holder's queue at least once *)
-  queue_aborts : int;
-      (** local aborts taken in queue mode: the wait budget ran out, or
-          the conflicting holder had already decided (its locks release
-          only on a recovery, so waiting is unbounded); included in
-          [local_aborts] *)
   parked : int;  (** still unresolved at end of run (includes waiters) *)
   instances : int;  (** commit instances launched (first attempts) *)
   retries : int;  (** parked instances re-run after a recovery *)
@@ -170,7 +161,7 @@ type stats = {
           resolved (by election or recovery), units of U *)
   queue_depth : Histogram.summary;
       (** total waiting transactions, sampled at each enqueue *)
-  zipf_s : float;  (** the resolved key-popularity exponent *)
+  zipf_s : float;  (** the exponent drawn from (negative clamps to 0) *)
   goodput : float;  (** committed / issued *)
   wall_seconds : float;
   commits_per_sec : float;  (** committed txns per wall-clock second *)

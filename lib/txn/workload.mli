@@ -85,12 +85,6 @@ type stats = {
   atomicity_ok : bool;  (** every round passed the atomicity check *)
 }
 
-val dist_of_spec : spec -> Zipf.t
-(** The spec's key-popularity distribution: [zipf_s] when given, the
-    {!Zipf.of_hot} translation of the legacy hot-set pair otherwise.
-    Exposed for the multi-shot commit service, whose client streams draw
-    from the same distribution. *)
-
 val distinct_keys : dist:Zipf.t -> count:int -> Rng.t -> string list
 (** [count] distinct draws of {!Zipf.pick}, in shuffled order (so a
     positional read/write split does not correlate with popularity).

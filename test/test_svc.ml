@@ -228,14 +228,12 @@ let test_inbac_crash_non_blocking () =
   check tbool "agreement" true s.Commit_service.agreement_ok
 
 let test_zipf_s_passthrough () =
-  let s =
-    run ~spec:{ small with Commit_service.zipf_s = Some 1.25 } "inbac"
-  in
+  let s = run ~spec:{ small with Commit_service.zipf_s = 1.25 } "inbac" in
   check (Alcotest.float 1e-9) "explicit exponent echoed" 1.25
     s.Commit_service.zipf_s;
-  let s' = run "inbac" in
-  check tbool "legacy alias resolves to a positive exponent" true
-    (s'.Commit_service.zipf_s > 0.0)
+  check (Alcotest.float 0.0) "default is the 16-hot-keys-at-0.1 exponent"
+    Workload.Zipf.(s (of_hot ~keys:2048 ~hot_keys:16 ~hot_fraction:0.1))
+    Commit_service.default.Commit_service.zipf_s
 
 (* ------------------------------------------------------------------ *)
 (* Queued admission (ISSUE 10): FIFO fairness, liveness across outages,
@@ -291,7 +289,7 @@ let test_queue_drains_across_outage () =
       Commit_service.default with
       Commit_service.txns = 400;
       seed = 7;
-      zipf_s = Some 0.8;
+      zipf_s = 0.8;
       keys = 64;
       outages = [ (1, 3 * u, Some (40 * u)) ];
       election_timeout = None;
@@ -302,8 +300,6 @@ let test_queue_drains_across_outage () =
     (s.Commit_service.queued > 0);
   check tint "recovery drained everything" 0 s.Commit_service.parked;
   check tint "no staging left" 0 s.Commit_service.staged_left;
-  check tbool "queue aborts within local aborts" true
-    (s.Commit_service.queue_aborts <= s.Commit_service.local_aborts);
   check tint "accounted" s.Commit_service.transactions
     (s.Commit_service.committed + s.Commit_service.aborted
    + s.Commit_service.local_aborts);
@@ -319,7 +315,7 @@ let test_queue_drains_with_elections () =
       Commit_service.default with
       Commit_service.txns = 400;
       seed = 7;
-      zipf_s = Some 0.8;
+      zipf_s = 0.8;
       keys = 64;
       outages = [ (1, 3 * u, None) ];
     }
@@ -335,20 +331,12 @@ let test_queue_drains_with_elections () =
 
 let test_queue_accounting () =
   (* hot-key run: the queue counters and derived gauges must be
-     internally consistent, and the abort-mode twin must never queue *)
+     internally consistent, and the budget-0 twin must never queue *)
   let spec =
-    {
-      small with
-      Commit_service.zipf_s = Some 1.2;
-      Commit_service.keys = 32;
-    }
+    { small with Commit_service.zipf_s = 1.2; Commit_service.keys = 32 }
   in
   let q = run ~spec "2pc" in
-  check Alcotest.string "queue mode reported" "queue"
-    q.Commit_service.admission_mode;
   check tbool "waiters recorded" true (q.Commit_service.queued > 0);
-  check tbool "queue aborts within local aborts" true
-    (q.Commit_service.queue_aborts <= q.Commit_service.local_aborts);
   check tbool "queue depth sampled per wait" true
     (q.Commit_service.queue_depth.Histogram.count >= q.Commit_service.queued);
   check (Alcotest.float 1e-9) "goodput is the committed fraction"
@@ -357,16 +345,8 @@ let test_queue_accounting () =
     q.Commit_service.goodput;
   check tbool "allocation gauge is live" true
     (q.Commit_service.minor_words_per_txn > 0.0);
-  let a =
-    run
-      ~spec:
-        { spec with Commit_service.admission = Commit_service.Abort_on_conflict }
-      "2pc"
-  in
-  check Alcotest.string "abort mode reported" "abort"
-    a.Commit_service.admission_mode;
-  check tint "abort mode never queues" 0 a.Commit_service.queued;
-  check tint "abort mode has no queue aborts" 0 a.Commit_service.queue_aborts;
+  let a = run ~spec:{ spec with Commit_service.wait_budget = 0 } "2pc" in
+  check tint "budget 0 never queues" 0 a.Commit_service.queued;
   check tbool "queueing beats aborting on goodput" true
     (q.Commit_service.goodput > a.Commit_service.goodput)
 
@@ -374,7 +354,7 @@ let test_soak_mode_neutral () =
   (* soak mode swaps exact histograms for streaming ones and recycles
      aggressively; the simulation itself must be unchanged — every
      deterministic counter identical, percentiles still ordered *)
-  let spec = { small with Commit_service.zipf_s = Some 0.8 } in
+  let spec = { small with Commit_service.zipf_s = 0.8 } in
   let plain = run ~spec "2pc" in
   let soak = run ~spec:{ spec with Commit_service.soak = true } "2pc" in
   check tbool "soak changes no counter" true
@@ -401,7 +381,7 @@ let test_recycle_neutral () =
       check Alcotest.string "recycling is behaviour-neutral" (body true)
         (body false))
     [
-      { small with Commit_service.zipf_s = Some 0.8 };
+      { small with Commit_service.zipf_s = 0.8 };
       {
         small with
         Commit_service.txns = 150;
@@ -429,7 +409,7 @@ let qcheck_queue_deadlock_free =
           txns = clients * 4;
           keys = 64;
           writes_per_txn = writes;
-          zipf_s = Some (float_of_int zipf_decis /. 10.0);
+          zipf_s = float_of_int zipf_decis /. 10.0;
           seed;
         }
       in
@@ -439,16 +419,15 @@ let qcheck_queue_deadlock_free =
       && s.Commit_service.committed + s.Commit_service.aborted
          + s.Commit_service.local_aborts
          = s.Commit_service.transactions
-      && s.Commit_service.queue_aborts <= s.Commit_service.local_aborts
       && s.Commit_service.atomicity_ok
       && s.Commit_service.agreement_ok)
 
 let qcheck_admission_differential =
-  (* queue vs abort under crash injection: both policies must preserve
-     atomicity and agreement, and at zero contention (one closed-loop
-     client, one transaction in flight at a time) the admission policy is
-     unreachable code — the two runs must make identical per-transaction
-     decisions *)
+  (* wait budget 64 vs 0 (abort on every conflict) under crash injection:
+     both runs must preserve atomicity and agreement, and at zero
+     contention (one closed-loop client, one transaction in flight at a
+     time) the wait queues are unreachable code — the two runs must make
+     identical per-transaction decisions *)
   let gen =
     QCheck.(
       quad (int_range 0 1000) (int_range 8 32) (int_range 10 60)
@@ -458,15 +437,15 @@ let qcheck_admission_differential =
     ~name:"queue vs abort: safe under faults, identical at zero contention"
     gen
     (fun (seed, clients, recover_gap_u, zipf_decis) ->
-      let base admission clients =
+      let base wait_budget clients =
         {
           Commit_service.default with
           Commit_service.clients;
           txns = clients * 4;
           keys = 64;
-          zipf_s = Some (float_of_int zipf_decis /. 10.0);
+          zipf_s = float_of_int zipf_decis /. 10.0;
           outages = [ (1, 4 * u, Some ((4 + recover_gap_u) * u)) ];
-          admission;
+          wait_budget;
           seed;
         }
       in
@@ -479,10 +458,10 @@ let qcheck_admission_differential =
         in
         (tbl, s)
       in
-      let _, sq = decisions (base Commit_service.Queue_waiters clients) in
-      let _, sa = decisions (base Commit_service.Abort_on_conflict clients) in
-      let qz, szq = decisions (base Commit_service.Queue_waiters 1) in
-      let az, sza = decisions (base Commit_service.Abort_on_conflict 1) in
+      let _, sq = decisions (base 64 clients) in
+      let _, sa = decisions (base 0 clients) in
+      let qz, szq = decisions (base 64 1) in
+      let az, sza = decisions (base 0 1) in
       sq.Commit_service.atomicity_ok && sq.Commit_service.agreement_ok
       && sa.Commit_service.atomicity_ok && sa.Commit_service.agreement_ok
       && sa.Commit_service.queued = 0
@@ -504,9 +483,9 @@ let qcheck_admission_differential =
    the first election timer: every transaction is issued by the initial
    client submits (txns <= clients), every batch launches immediately
    (pipeline >= txns), and the outage lands after that horizon.
-   Admission is pinned to abort-on-conflict: a wait queue's drain time
-   depends on *when* its holder decides, which is exactly what the two
-   runs differ on. *)
+   The wait budget is pinned to 0 (abort on every conflict): a wait
+   queue's drain time depends on *when* its holder decides, which is
+   exactly what the two runs differ on. *)
 let qcheck_election_differential =
   let gen =
     QCheck.(
@@ -525,7 +504,7 @@ let qcheck_election_differential =
           txns;
           seed;
           pipeline_depth = txns;
-          admission = Commit_service.Abort_on_conflict;
+          wait_budget = 0;
           outages = [ (1, down_at, Some (down_at + (recover_gap_u * u))) ];
           election_timeout;
         }
@@ -569,7 +548,7 @@ let test_parallel_arms_byte_identical () =
           Commit_service.txns = 150;
           outages = [ (1, 3 * u, None) ];
         } );
-      ("paxos-commit", { small with Commit_service.zipf_s = Some 0.9 });
+      ("paxos-commit", { small with Commit_service.zipf_s = 0.9 });
     ]
   in
   let arm_bodies jobs =
@@ -601,6 +580,16 @@ let test_spec_validation () =
     (invalid { small with Commit_service.writes_per_txn = 0 });
   check tbool "pipeline depth < 1" true
     (invalid { small with Commit_service.pipeline_depth = 0 });
+  check tbool "max batch < 1" true
+    (invalid { small with Commit_service.max_batch = 0 });
+  check tbool "negative reads" true
+    (invalid { small with Commit_service.reads_per_txn = -1 });
+  check tbool "keyspace smaller than a transaction" true
+    (invalid { small with Commit_service.keys = 3 });
+  check tbool "wait budget < 0" true
+    (invalid { small with Commit_service.wait_budget = -1 });
+  check tbool "flush every < 0" true
+    (invalid { small with Commit_service.flush_every = -1 });
   check tbool "outage rank out of range" true
     (invalid { small with Commit_service.outages = [ (9, u, None) ] });
   check tbool "election timeout < 1" true
