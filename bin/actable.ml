@@ -515,7 +515,15 @@ let txserve_cmd =
            else 0);
       }
     in
-    let stats = Commit_service.run ~consensus ~protocol ~n ~f spec in
+    let stats =
+      (* a spec the service rejects is a command-line error; any other
+         exception is a bug and stays uncaught *)
+      try Commit_service.run ~consensus ~protocol ~n ~f spec
+      with Invalid_argument msg
+      when String.starts_with ~prefix:"Commit_service.run: " msg ->
+        Format.eprintf "actable: txserve: %s@." msg;
+        exit Cmd.Exit.cli_error
+    in
     Format.printf "%a@." Commit_service.pp_stats stats;
     gate "txserve atomicity" stats.Commit_service.atomicity_ok;
     gate "txserve agreement" stats.Commit_service.agreement_ok;

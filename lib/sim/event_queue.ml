@@ -31,13 +31,12 @@ let max_retained = 256
 
 let create () = { heap = [||]; len = 0; next_seq = 0; free = []; free_len = 0 }
 
+(* (time, klass, seq) order on int fields, compared inline: this runs on
+   every sift step, and [compare] functions are out-of-line calls *)
 let cell_lt a b =
-  match Sim_time.compare a.time b.time with
-  | 0 -> (
-      match Int.compare a.klass b.klass with
-      | 0 -> a.seq < b.seq
-      | c -> c < 0)
-  | c -> c < 0
+  a.time < b.time
+  || a.time = b.time
+     && (a.klass < b.klass || (a.klass = b.klass && a.seq < b.seq))
 
 (* [seed] fills the fresh slots, which also covers growing from an empty
    heap (no live cell to borrow as filler); the duplicates it leaves in

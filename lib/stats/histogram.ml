@@ -56,9 +56,60 @@ let add t x =
 
 let count = function Exact e -> e.len | Streaming s -> s.n
 
+(* [Float.compare]'s order (NaN first), inlined so the operands stay
+   unboxed *)
+let[@inline] float_lt (x : float) y = x < y || (x <> x && y = y)
+
+(* Ascending merge sort of a float array in place. [Array.sort
+   Float.compare] boxes both operands of every comparison; this sort
+   compares unboxed and allocates one half-length scratch array. *)
+let sort_floats (a : float array) =
+  let tmp = Array.make ((Array.length a + 1) / 2) 0.0 in
+  let insertion lo hi =
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && float_lt x a.(!j) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  in
+  (* merge the sorted runs [lo, mid) and [mid, hi): the left run moves
+     to [tmp] and the output overwrites [a] from [lo], never passing the
+     unread part of the right run *)
+  let merge lo mid hi =
+    let left = mid - lo in
+    Array.blit a lo tmp 0 left;
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < left && !j < hi do
+      if float_lt a.(!j) tmp.(!i) then begin
+        a.(!k) <- a.(!j);
+        incr j
+      end
+      else begin
+        a.(!k) <- tmp.(!i);
+        incr i
+      end;
+      incr k
+    done;
+    Array.blit tmp !i a !k (left - !i)
+  in
+  let rec sort lo hi =
+    if hi - lo <= 16 then insertion lo hi
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort lo mid;
+      sort mid hi;
+      if float_lt a.(mid) a.(mid - 1) then merge lo mid hi
+    end
+  in
+  sort 0 (Array.length a)
+
 let sorted e =
   let a = Array.sub e.data 0 e.len in
-  Array.sort Float.compare a;
+  sort_floats a;
   a
 
 let percentile_of_sorted a q =
@@ -111,11 +162,13 @@ let summary t =
   | Exact e ->
       let a = sorted e in
       let n = Array.length a in
+      let sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        sum := !sum +. a.(i)
+      done;
       {
         count = n;
-        mean =
-          (if n = 0 then Float.nan
-           else Array.fold_left ( +. ) 0.0 a /. float_of_int n);
+        mean = (if n = 0 then Float.nan else !sum /. float_of_int n);
         p50 = percentile_of_sorted a 0.50;
         p95 = percentile_of_sorted a 0.95;
         p99 = percentile_of_sorted a 0.99;

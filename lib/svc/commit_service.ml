@@ -98,14 +98,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
     | Crash of Pid.t
 
-  (* A transaction waiting in / running through an instance:
-     (txn, client, submitted_at). *)
-  type member = Txn.t * int * Sim_time.t
-
   type inst = {
     mutable i_id : int;
     mutable tag : int;  (* current Mux tag; re-tagged on every re-drive *)
-    mutable i_members : member list;  (* oldest first *)
+    mutable i_members : waiter list;  (* oldest first *)
     votes : Vote.t array;
     mutable machine : M.t;
     mutable started : Sim_time.t;
@@ -120,17 +116,35 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            released when the instance resolves *)
   }
 
+  (* A transaction waiting on a holder, sitting in a batch, or running
+     through an instance. Everything admission reads is fixed per
+     transaction, so it is computed once at submit: key indices into the
+     interned keyspace and the interned write-owner set. *)
   and waiter = {
     w_txn : Txn.t;
     w_client : int;
     w_submitted : Sim_time.t;
-    w_keys : string list;
+    w_keys : int array;
+        (* every key, in [Txn.keys] (name) order: a waiter queues on the
+           first held key in this order *)
+    w_reads : int array;  (* [Txn.reads]' keys, in order *)
+    w_writes : int array;  (* [Txn.writes]' keys, in order *)
+    w_owners : owner_set;
     mutable w_waits : int;  (* completed waits so far *)
   }
 
-  type batch = {
-    owners : string;  (* canonical write-owner-set key *)
+  (* The shards owning a transaction's writes, interned: transactions with
+     the same owner set share one record, so it doubles as the index of
+     the batches they may join. *)
+  and owner_set = {
+    shards : int array;  (* ascending shard indices *)
+    mutable open_batches : batch list;  (* unlaunched, newest first *)
+  }
+
+  and batch = {
+    b_owners : owner_set;
     mutable b_members : waiter list;  (* newest first *)
+    mutable b_count : int;
     mutable b_launched : bool;
   }
 
@@ -150,46 +164,42 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let q : sev Mux.t = Mux.create () in
     let stores = Array.init n (fun _ -> Kv_store.create ()) in
     let all_pids = Pid.all ~n in
-    let owner_of key = Txn_system.placement_key ~n key in
     (* the keyspace is dense and known up front: intern every key name and
-       its owner once, so the generator never formats a key string again *)
-    let key_names = Array.init spec.keys (fun i -> Printf.sprintf "k%d" i) in
-    let key_owner = Array.map owner_of key_names in
-    (* write locks held by launched-but-unresolved instances. Admission
-       and launch both turn away a transaction any of whose keys is held,
-       so a key has at most one holder. Holding the instance record (not
-       just its id) lets admission reach the holder's wait queue. *)
-    let locks : (string, inst) Hashtbl.t array =
-      Array.init n (fun _ -> Hashtbl.create 64)
+       its owner shard once, so no later step formats or hashes a key *)
+    let key_names = Array.init spec.keys (fun i -> "k" ^ string_of_int i) in
+    let key_owner =
+      Array.map (fun k -> Pid.index (Txn_system.placement_key ~n k)) key_names
     in
+    (* write locks held by launched-but-unresolved instances, one slot per
+       key. Admission and launch both turn away a transaction any of whose
+       keys is held, so a key has at most one holder. Holding the instance
+       record (not just its id) lets admission reach the holder's wait
+       queue. *)
+    let key_holder : inst option array = Array.make spec.keys None in
     let down = Array.make n false in
     let send_seq = ref 0 in
     let messages = ref 0 in
-    let local_writes pid (txn : Txn.t) =
-      List.filter (fun (k, _) -> Pid.equal (owner_of k) pid) txn.Txn.writes
-    in
 
-    let lock_add pid key inst =
-      let h = locks.(Pid.index pid) in
-      assert (not (Hashtbl.mem h key));
-      Hashtbl.replace h key inst
+    let lock_add k inst =
+      assert (match key_holder.(k) with None -> true | Some _ -> false);
+      key_holder.(k) <- Some inst
     in
-    let lock_release pid inst =
-      let h = locks.(Pid.index pid) in
+    let lock_release shard inst =
       List.iter
-        (fun ((txn : Txn.t), _, _) ->
-          List.iter
-            (fun (k, _) -> if Pid.equal (owner_of k) pid then Hashtbl.remove h k)
-            txn.Txn.writes)
+        (fun w ->
+          Array.iter
+            (fun k -> if key_owner.(k) = shard then key_holder.(k) <- None)
+            w.w_writes)
         inst.i_members
     in
-    let rec holder_of = function
-      | [] -> None
-      | k :: rest -> (
-          match Hashtbl.find_opt locks.(Pid.index (owner_of k)) k with
-          | Some _ as h -> h
-          | None -> holder_of rest)
+    let rec holder_from keys j =
+      if j = Array.length keys then None
+      else
+        match key_holder.(keys.(j)) with
+        | Some _ as h -> h
+        | None -> holder_from keys (j + 1)
     in
+    let holder_of w = holder_from w.w_keys 0 in
 
     (* Live instances, indexed by the slot of their current Mux tag; a
        popped event resolves only when its full tag still matches, so
@@ -236,7 +246,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let stolen = ref 0 in
     let members_launched = ref 0 in
 
-    let open_batches : batch list ref = ref [] in
+    let owner_sets : (int list, owner_set) Hashtbl.t = Hashtbl.create 64 in
+    let intern_owners shards =
+      match Hashtbl.find_opt owner_sets shards with
+      | Some os -> os
+      | None ->
+          let os = { shards = Array.of_list shards; open_batches = [] } in
+          Hashtbl.add owner_sets shards os;
+          os
+    in
     let ready : batch Queue.t = Queue.create () in
 
     let issued = ref 0 in
@@ -363,7 +381,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        and queues cannot deadlock; the budget bounds re-conflict chains,
        so they cannot livelock either. *)
     let wait_or_abort now (w : waiter) (holder : inst) =
-      if holder.outcome <> None || w.w_waits >= spec.wait_budget then begin
+      let decided = match holder.outcome with Some _ -> true | None -> false in
+      if decided || w.w_waits >= spec.wait_budget then begin
         incr local_aborts;
         client_resubmit now w.w_client
       end
@@ -375,19 +394,27 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       end
     in
 
-    let start_members now (members : member list) =
+    (* [w]'s writes owned by [shard], in [Txn.writes] order *)
+    let local_writes shard (w : waiter) =
+      let rec go j = function
+        | [] -> []
+        | kv :: rest ->
+            if key_owner.(w.w_writes.(j)) = shard then kv :: go (j + 1) rest
+            else go (j + 1) rest
+      in
+      go 0 w.w_txn.Txn.writes
+    in
+    let start_members now (members : waiter list) =
       let id = !next_inst in
       incr next_inst;
       (* write-ahead: every owner stages its legs before voting *)
       List.iter
-        (fun ((txn : Txn.t), _, _) ->
-          List.iter
-            (fun pid ->
-              let writes = local_writes pid txn in
-              if writes <> [] then
-                Kv_store.stage stores.(Pid.index pid) ~txn_id:txn.Txn.id
-                  ~writes)
-            all_pids)
+        (fun w ->
+          Array.iter
+            (fun shard ->
+              Kv_store.stage stores.(shard) ~txn_id:w.w_txn.Txn.id
+                ~writes:(local_writes shard w))
+            w.w_owners.shards)
         members;
       let tag = Mux.alloc q in
       let inst =
@@ -425,26 +452,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       in
       (* per-shard vote: optimistic read validation. No key of the batch
          is write-locked by another instance — launch turned those members
-         away — so validating the reads is the whole certification. *)
-      for i = 0 to n - 1 do
-        let pid = Pid.of_index i in
-        let store = stores.(i) in
-        inst.votes.(i) <-
-          Vote.of_bool
-            (List.for_all
-               (fun ((txn : Txn.t), _, _) ->
-                 List.for_all
-                   (fun (k, expected) ->
-                     (not (Pid.equal (owner_of k) pid))
-                     || Kv_store.version store ~key:k = expected)
-                   txn.Txn.reads)
-               members)
-      done;
+         away — so validating the reads is the whole certification: a
+         shard votes no iff some read it owns is stale. *)
+      Array.fill inst.votes 0 n Vote.yes;
       List.iter
-        (fun ((txn : Txn.t), _, _) ->
-          List.iter
-            (fun (k, _) -> lock_add (owner_of k) k inst)
-            txn.Txn.writes)
+        (fun w ->
+          List.iteri
+            (fun j (k, expected) ->
+              let shard = key_owner.(w.w_reads.(j)) in
+              if Kv_store.version stores.(shard) ~key:k <> expected then
+                inst.votes.(shard) <- Vote.no)
+            w.w_txn.Txn.reads;
+          Array.iter (fun k -> lock_add k inst) w.w_writes)
         members;
       slot_put tag inst;
       members_launched := !members_launched + List.length members;
@@ -458,16 +477,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        holder instead (or abort them locally) and launch the rest. *)
     let start_instance now (waiters_in : waiter list) =
       let members =
-        List.filter_map
-          (fun (w : waiter) ->
-            match holder_of w.w_keys with
+        List.filter
+          (fun w ->
+            match holder_of w with
             | Some holder ->
                 wait_or_abort now w holder;
-                None
-            | None -> Some (w.w_txn, w.w_client, w.w_submitted))
+                false
+            | None -> true)
           waiters_in
       in
-      if members <> [] then start_members now members
+      match members with [] -> () | _ -> start_members now members
     in
 
     let launch_ready now =
@@ -476,10 +495,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         start_instance now (List.rev b.b_members)
       done
     in
+    (* drop [b] from its owner set's open list (it is there exactly once),
+       sharing the tail behind it *)
+    let rec unlink b = function
+      | [] -> []
+      | ob :: rest -> if ob == b then rest else ob :: unlink b rest
+    in
     let launch_batch now b =
-      if (not b.b_launched) && b.b_members <> [] then begin
+      if not b.b_launched then begin
         b.b_launched <- true;
-        open_batches := List.filter (fun ob -> ob != b) !open_batches;
+        b.b_owners.open_batches <- unlink b b.b_owners.open_batches;
         Queue.push b ready;
         launch_ready now
       end
@@ -533,78 +558,78 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     (* Apply/discard the instance's staged writes at one shard and release
        its locks there — on decision for live shards, on recovery for
        shards that were down when the decision was reached. *)
-    let resolve_at_shard inst pid =
-      let i = Pid.index pid in
+    let resolve_at_shard inst shard =
       (match inst.outcome with
       | Some Vote.Commit ->
           List.iter
-            (fun ((txn : Txn.t), _, _) ->
-              ignore (Kv_store.apply stores.(i) ~txn_id:txn.Txn.id))
+            (fun w ->
+              ignore (Kv_store.apply stores.(shard) ~txn_id:w.w_txn.Txn.id))
             inst.i_members
       | Some Vote.Abort ->
           List.iter
-            (fun ((txn : Txn.t), _, _) ->
-              Kv_store.discard stores.(i) ~txn_id:txn.Txn.id)
+            (fun w -> Kv_store.discard stores.(shard) ~txn_id:w.w_txn.Txn.id)
             inst.i_members
       | None -> ());
-      lock_release pid inst;
-      inst.resolved.(i) <- true
+      lock_release shard inst;
+      inst.resolved.(shard) <- true
     in
 
     (* An instance whose every shard resolved is pure history: check its
        write-ahead entries are gone right now (the incremental half of the
        whole-history atomicity check), then recycle the slot, the record
        and the machine. *)
-    let fully_resolved inst = Array.for_all Fun.id inst.resolved in
     let maybe_retire inst =
-      if inst.outcome <> None && fully_resolved inst then begin
-        List.iter
-          (fun ((txn : Txn.t), _, _) ->
-            List.iter
-              (fun (k, _) ->
-                if
-                  Kv_store.staged stores.(Pid.index (owner_of k))
-                    ~txn_id:txn.Txn.id
-                  <> None
-                then atomicity_ok := false)
-              txn.Txn.writes)
-          inst.i_members;
-        assert (Queue.is_empty inst.waiters);
-        !slots.(Mux.slot inst.tag) <- None;
-        Mux.retire q inst.tag;
-        release_machine inst.machine;
-        inst.i_members <- [];
-        inst_pool := inst :: !inst_pool
-      end
+      match inst.outcome with
+      | Some _ when Array.for_all Fun.id inst.resolved ->
+          List.iter
+            (fun w ->
+              Array.iter
+                (fun k ->
+                  let store = stores.(key_owner.(k)) in
+                  match Kv_store.staged store ~txn_id:w.w_txn.Txn.id with
+                  | Some _ -> atomicity_ok := false
+                  | None -> ())
+                w.w_writes)
+            inst.i_members;
+          assert (Queue.is_empty inst.waiters);
+          !slots.(Mux.slot inst.tag) <- None;
+          Mux.retire q inst.tag;
+          release_machine inst.machine;
+          inst.i_members <- [];
+          inst_pool := inst :: !inst_pool
+      | _ -> ()
     in
 
-    let owner_key (txn : Txn.t) =
-      String.concat ","
-        (List.map Pid.to_string
-           (List.sort_uniq Pid.compare
-              (List.map (fun (k, _) -> owner_of k) txn.Txn.writes)))
+    let rec has_key keys k j =
+      j < Array.length keys && (keys.(j) = k || has_key keys k (j + 1))
     in
+    let rec shares_key a b j =
+      j < Array.length a && (has_key b a.(j) 0 || shares_key a b (j + 1))
+    in
+    (* Batching: [w] joins the newest open batch of its owner set that has
+       room and shares none of its keys, or opens a new one. *)
     let admit now (w : waiter) =
-      let okey = owner_key w.w_txn in
-      let conflicts b =
-        List.exists
-          (fun (other : waiter) ->
-            List.exists (fun k -> List.mem k other.w_keys) w.w_keys)
-          b.b_members
-      in
+      let os = w.w_owners in
       let fits b =
-        (not b.b_launched)
-        && String.equal b.owners okey
-        && List.length b.b_members < spec.max_batch
-        && not (conflicts b)
+        b.b_count < spec.max_batch
+        && not
+             (List.exists (fun o -> shares_key w.w_keys o.w_keys 0) b.b_members)
       in
-      match List.find_opt fits !open_batches with
+      match List.find_opt fits os.open_batches with
       | Some b ->
           b.b_members <- w :: b.b_members;
-          if List.length b.b_members >= spec.max_batch then launch_batch now b
+          b.b_count <- b.b_count + 1;
+          if b.b_count >= spec.max_batch then launch_batch now b
       | None ->
-          let b = { owners = okey; b_members = [ w ]; b_launched = false } in
-          open_batches := b :: !open_batches;
+          let b =
+            {
+              b_owners = os;
+              b_members = [ w ];
+              b_count = 1;
+              b_launched = false;
+            }
+          in
+          os.open_batches <- b :: os.open_batches;
           if spec.batch_window = 0 || spec.max_batch <= 1 then
             launch_batch now b
           else
@@ -614,7 +639,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
 
     let admit_or_wait now (w : waiter) =
-      match holder_of w.w_keys with
+      match holder_of w with
       | None -> admit now w
       | Some holder -> wait_or_abort now w holder
     in
@@ -639,31 +664,39 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        nobody did and the instance parks, keeping its staged writes and
        locks, until a recovery retries it or the election timer elects a
        stand-in coordinator. *)
+    let rec first_decision ds i =
+      if i = Array.length ds then None
+      else
+        match ds.(i) with
+        | Some _ as d -> d
+        | None -> first_decision ds (i + 1)
+    in
     let finalize now inst =
       inst.quiesced <- true;
       decr in_flight;
-      let decided =
-        M.decisions inst.machine |> Array.to_list |> List.filter_map Fun.id
-      in
-      (match decided with
-      | [] ->
+      let ds = M.decisions inst.machine in
+      (match first_decision ds 0 with
+      | None ->
           (* parked: clients stall, pipeline keeps flowing; waiters stay
              queued until the instance eventually decides *)
-          if inst.parked_at = None then inst.parked_at <- Some now;
+          (match inst.parked_at with
+          | None -> inst.parked_at <- Some now
+          | Some _ -> ());
           (match spec.election_timeout with
           | Some d ->
               Mux.add q ~instance:inst.tag
                 ~time:(Sim_time.( + ) now d)
                 ~klass:service_class Elect
           | None -> ())
-      | (t0, d0) :: rest ->
-          List.iter
-            (fun (_, d) ->
-              if not (Vote.decision_equal d d0) then agreement_ok := false)
-            rest;
-          let decided_at =
-            List.fold_left (fun acc (t, _) -> Sim_time.max acc t) t0 rest
-          in
+      | Some (t0, d0) ->
+          let decided_at = ref t0 in
+          Array.iter
+            (function
+              | Some (t, d) ->
+                  if not (Vote.decision_equal d d0) then agreement_ok := false;
+                  decided_at := Sim_time.max !decided_at t
+              | None -> ())
+            ds;
           inst.outcome <- Some d0;
           if inst.elected then incr stolen;
           (match inst.parked_at with
@@ -671,22 +704,22 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               Histogram.add time_parked
                 (Sim_time.delays ~u (Sim_time.( - ) now p))
           | None -> ());
+          for shard = 0 to n - 1 do
+            if not down.(shard) then resolve_at_shard inst shard
+          done;
           List.iter
-            (fun pid ->
-              if not down.(Pid.index pid) then resolve_at_shard inst pid)
-            all_pids;
-          List.iter
-            (fun ((txn : Txn.t), client, submitted_at) ->
+            (fun w ->
               (match d0 with
               | Vote.Commit ->
                   incr committed;
                   Histogram.add latency
-                    (Sim_time.delays ~u (Sim_time.( - ) decided_at submitted_at))
+                    (Sim_time.delays ~u
+                       (Sim_time.( - ) !decided_at w.w_submitted))
               | Vote.Abort -> incr aborted);
               (match observe with
-              | Some obs -> obs txn.Txn.id d0
+              | Some obs -> obs w.w_txn.Txn.id d0
               | None -> ());
-              client_resubmit now client)
+              client_resubmit now w.w_client)
             inst.i_members;
           drain_waiters now inst;
           maybe_retire inst);
@@ -738,23 +771,38 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       done;
       count
     in
-    let generate_txn () =
-      let id = Printf.sprintf "t%d" !txn_seq in
+    let generate now client =
+      let id = "t" ^ string_of_int !txn_seq in
       incr txn_seq;
       let count = pick_distinct () in
       let nreads = min spec.reads_per_txn count in
       let reads =
         List.init nreads (fun i ->
             let k = key_names.(scratch.(i)) in
-            ( k,
-              Kv_store.version stores.(Pid.index key_owner.(scratch.(i))) ~key:k
-            ))
+            (k, Kv_store.version stores.(key_owner.(scratch.(i))) ~key:k))
       in
       let writes =
         List.init (count - nreads) (fun i ->
             (key_names.(scratch.(nreads + i)), id))
       in
-      Txn.make ~id ~reads ~writes ()
+      let w_writes = Array.sub scratch nreads (count - nreads) in
+      let w_keys = Array.sub scratch 0 count in
+      Array.sort
+        (fun a b -> String.compare key_names.(a) key_names.(b))
+        w_keys;
+      {
+        w_txn = Txn.make ~id ~reads ~writes ();
+        w_client = client;
+        w_submitted = now;
+        w_keys;
+        w_reads = Array.sub scratch 0 nreads;
+        w_writes;
+        w_owners =
+          intern_owners
+            (List.sort_uniq Int.compare
+               (Array.to_list (Array.map (fun k -> key_owner.(k)) w_writes)));
+        w_waits = 0;
+      }
     in
 
     let flush now =
@@ -772,6 +820,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (words /. float_of_int (max 1 !issued))
     in
 
+    let by_id a b = Int.compare a.i_id b.i_id in
     let handle now instance ev =
       match ev with
       | Submit client ->
@@ -779,15 +828,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             incr issued;
             if spec.flush_every > 0 && !issued mod spec.flush_every = 0 then
               flush now;
-            let txn = generate_txn () in
-            admit_or_wait now
-              {
-                w_txn = txn;
-                w_client = client;
-                w_submitted = now;
-                w_keys = Txn.keys txn;
-                w_waits = 0;
-              }
+            admit_or_wait now (generate now client)
           end
       | Launch_batch b -> launch_batch now b
       | Outage pid ->
@@ -801,33 +842,34 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               if not (M.is_crashed inst.machine pid) then
                 Mux.add q ~instance:inst.tag ~time:now ~klass:crash_class
                   (Inst (Crash pid)))
-            (List.sort (fun a b -> compare a.i_id b.i_id) !running)
+            (List.sort by_id !running)
       | Recover pid ->
-          down.(Pid.index pid) <- false;
+          let shard = Pid.index pid in
+          down.(shard) <- false;
           (* first adopt the decisions reached while the shard was down,
              then re-run every parked instance with its recorded votes *)
           let decided = ref [] and parked = ref [] in
           iter_insts (fun inst ->
               if inst.quiesced then
-                if inst.outcome <> None then decided := inst :: !decided
-                else parked := inst :: !parked);
+                match inst.outcome with
+                | Some _ -> decided := inst :: !decided
+                | None -> parked := inst :: !parked);
           List.iter
             (fun inst ->
-              if not inst.resolved.(Pid.index pid) then begin
-                resolve_at_shard inst pid;
+              if not inst.resolved.(shard) then begin
+                resolve_at_shard inst shard;
                 drain_waiters now inst;
                 maybe_retire inst
               end)
-            (List.sort (fun a b -> compare a.i_id b.i_id) !decided);
-          List.iter (retry_instance now)
-            (List.sort (fun a b -> compare a.i_id b.i_id) !parked)
+            (List.sort by_id !decided);
+          List.iter (retry_instance now) (List.sort by_id !parked)
       | Elect -> (
           (* still tagged with the parked drive's tag: if the instance was
              retried or decided in the meantime the tag no longer resolves
              (or the instance is no longer a parked one) and the timer is
              void *)
           match find_by_tag instance with
-          | Some inst when inst.quiesced && inst.outcome = None ->
+          | Some ({ quiesced = true; outcome = None; _ } as inst) ->
               elect now inst
           | _ -> ())
       | Inst iev -> (
@@ -883,24 +925,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        where its decision is unresolved. *)
     iter_insts (fun inst ->
         List.iter
-          (fun ((txn : Txn.t), _, _) ->
-            let owners =
-              List.sort_uniq Pid.compare
-                (List.map (fun (k, _) -> owner_of k) txn.Txn.writes)
-            in
-            List.iter
-              (fun pid ->
+          (fun w ->
+            Array.iter
+              (fun shard ->
                 let still_staged =
-                  Kv_store.staged stores.(Pid.index pid) ~txn_id:txn.Txn.id
-                  <> None
+                  Option.is_some
+                    (Kv_store.staged stores.(shard) ~txn_id:w.w_txn.Txn.id)
                 in
                 let expect_staged =
                   match inst.outcome with
                   | None -> true
-                  | Some _ -> not inst.resolved.(Pid.index pid)
+                  | Some _ -> not inst.resolved.(shard)
                 in
                 if still_staged <> expect_staged then atomicity_ok := false)
-              owners)
+              w.w_owners.shards)
           inst.i_members);
 
     (* Write-ahead entries left on LIVE shards: a still-down shard's
@@ -968,14 +1006,22 @@ let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
   if spec.pipeline_depth < 1 then
     invalid_arg "Commit_service.run: pipeline_depth < 1";
   if spec.max_batch < 1 then invalid_arg "Commit_service.run: max_batch < 1";
+  if spec.batch_window < 0 then
+    invalid_arg "Commit_service.run: batch_window < 0";
   if spec.wait_budget < 0 then
     invalid_arg "Commit_service.run: wait_budget < 0";
   if spec.flush_every < 0 then
     invalid_arg "Commit_service.run: flush_every < 0";
   List.iter
-    (fun (rank, _, _) ->
+    (fun (rank, down_at, back_at) ->
       if rank < 1 || rank > n then
-        invalid_arg "Commit_service.run: outage rank outside 1..n")
+        invalid_arg "Commit_service.run: outage rank outside 1..n";
+      if down_at < 0 then invalid_arg "Commit_service.run: outage instant < 0";
+      match back_at with
+      | Some t when t <= down_at ->
+          invalid_arg
+            "Commit_service.run: outage must recover after it goes down"
+      | _ -> ())
     spec.outages;
   (match spec.election_timeout with
   | Some d when d < 1 ->

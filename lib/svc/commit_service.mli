@@ -35,8 +35,11 @@
       release only when a dead shard recovers) aborts immediately — queues
       drain on every decision, election takeover and recovery adoption.
       The same check runs again when a batch launches, so no two launched
-      instances ever hold the same key: each shard keeps one holder per
-      key, and its vote is read validation alone.
+      instances ever hold the same key: the lock table is one holder slot
+      per key index, and a shard's vote is read validation alone. A
+      transaction's key indices, owner shards and interned write-owner
+      set are computed once at submit, so re-admitting a waiter reads
+      array slots and never formats or hashes a key.
     - {b Blocking and recovery}: an instance that quiesces with no
       decision (2PC whose coordinator shard is down) {e parks} — its
       staged writes and write locks stay put, its clients stall, but the
@@ -182,8 +185,10 @@ val run :
     per-transaction outcomes across configurations.
     @raise Not_found on an unknown protocol name.
     @raise Invalid_argument on a nonsensical spec (no clients, no writes,
-    [pipeline_depth < 1], [wait_budget < 0], [election_timeout < 1],
-    ...). *)
+    [pipeline_depth < 1], [batch_window < 0], [wait_budget < 0],
+    [election_timeout < 1], an outage before time zero or one that does
+    not recover strictly after it goes down, ...), with a message starting
+    ["Commit_service.run: "]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -593,7 +593,73 @@ let test_spec_validation () =
   check tbool "outage rank out of range" true
     (invalid { small with Commit_service.outages = [ (9, u, None) ] });
   check tbool "election timeout < 1" true
-    (invalid { small with Commit_service.election_timeout = Some 0 })
+    (invalid { small with Commit_service.election_timeout = Some 0 });
+  check tbool "batch window < 0" true
+    (invalid { small with Commit_service.batch_window = -1 });
+  check tbool "outage before time zero" true
+    (invalid { small with Commit_service.outages = [ (1, -2 * u, None) ] });
+  check tbool "outage recovers before it goes down" true
+    (invalid
+       { small with Commit_service.outages = [ (2, 5 * u, Some (3 * u)) ] });
+  check tbool "outage recovers the instant it goes down" true
+    (invalid
+       { small with Commit_service.outages = [ (2, 5 * u, Some (5 * u)) ] })
+
+(* Golden arm bodies: every admission, batching, wait and election
+   decision of these runs shows in some counter or delay summary, so any
+   change to admission order, batch membership or lock bookkeeping moves
+   a byte here. The third spec has 66 shards, past any one-word owner-set
+   bitmask. *)
+let test_golden_arm_bodies () =
+  let contended =
+    {
+      Commit_service.default with
+      Commit_service.clients = 64;
+      txns = 1000;
+      keys = 256;
+      zipf_s = 0.9;
+      seed = 5;
+    }
+  in
+  let pins =
+    [
+      ( "inbac n=5 f=2, outage 2@5:40",
+        ("inbac", 5, 2),
+        {
+          contended with
+          Commit_service.outages = [ (2, 5 * u, Some (40 * u)) ];
+        },
+        {|"transactions": 1000, "committed": 423, "aborted": 433, "local_aborts": 144, "queued": 684, "parked": 0, "instances": 785, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.090446, "peak_in_flight": 15, "messages": 17544, "staged_left": 0, "abort_rate": 0.577000, "goodput": 0.423000, "zipf_s": 0.900000, "latency_delays": {"mean": 6.567650, "p50": 2.500000, "p95": 23.296000, "p99": 71.819000, "max": 109.373000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 36.647732, "p50": 39.000000, "p95": 58.000000, "p99": 60.000000, "max": 62.000000}, "atomicity_ok": true, "agreement_ok": true|}
+      );
+      ( "2pc n=4 f=1, outages 1@5:40 and 3@60",
+        ("2pc", 4, 1),
+        {
+          contended with
+          Commit_service.outages =
+            [ (1, 5 * u, Some (40 * u)); (3, 60 * u, None) ];
+        },
+        {|"transactions": 1000, "committed": 63, "aborted": 280, "local_aborts": 657, "queued": 449, "parked": 0, "instances": 287, "retries": 2, "elections": 20, "stolen": 20, "mean_batch": 1.195122, "peak_in_flight": 14, "messages": 1552, "staged_left": 0, "abort_rate": 0.937000, "goodput": 0.063000, "zipf_s": 0.900000, "latency_delays": {"mean": 9.770159, "p50": 4.003000, "p95": 35.628000, "p99": 50.093000, "max": 50.093000}, "time_parked_delays": {"mean": 13.041409, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 36.649272, "p50": 40.000000, "p95": 54.000000, "p99": 59.000000, "max": 62.000000}, "atomicity_ok": true, "agreement_ok": true|}
+      );
+      ( "2pc n=66 f=1, wide batches",
+        ("2pc", 66, 1),
+        {
+          Commit_service.default with
+          Commit_service.txns = 400;
+          clients = 128;
+          keys = 64;
+          batch_window = 3 * u;
+          max_batch = 16;
+          seed = 3;
+        },
+        {|"transactions": 400, "committed": 112, "aborted": 275, "local_aborts": 13, "queued": 372, "parked": 0, "instances": 387, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.000000, "peak_in_flight": 18, "messages": 50310, "staged_left": 0, "abort_rate": 0.720000, "goodput": 0.280000, "zipf_s": 0.570462, "latency_delays": {"mean": 13.939098, "p50": 9.390000, "p95": 35.073000, "p99": 89.128000, "max": 164.000000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 63.446980, "p50": 65.000000, "p95": 114.000000, "p99": 116.000000, "max": 118.000000}, "atomicity_ok": true, "agreement_ok": true|}
+      );
+    ]
+  in
+  List.iter
+    (fun (name, (protocol, n, f), spec, expected) ->
+      let s = Commit_service.run ~protocol ~n ~f spec in
+      check Alcotest.string name expected (Commit_service.arm_json_body s))
+    pins
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -621,6 +687,7 @@ let () =
           quick "parallel arms byte-identical"
             test_parallel_arms_byte_identical;
           quick "spec validation" test_spec_validation;
+          quick "golden arm bodies" test_golden_arm_bodies;
           prop qcheck_election_differential;
         ] );
       ( "queued-admission",

@@ -540,6 +540,42 @@ let prop_streaming_bounded_error =
       && ss.Histogram.p95 <= ss.Histogram.p99
       && ss.Histogram.p99 <= ss.Histogram.max)
 
+(* The exact summary against a reference built on [List.sort compare]:
+   samples from a small set of values (so most are duplicates), sizes on
+   both sides of the sort's small-run cutoff. *)
+let prop_exact_summary_matches_reference =
+  let gen =
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 400) (int_range (-8) 24))
+        (float_bound_inclusive 1.0))
+  in
+  QCheck.Test.make ~count:200
+    ~name:"exact summary equals a sorted-list nearest-rank reference" gen
+    (fun (ints, q) ->
+      let samples = List.map (fun i -> float_of_int i /. 4.0) ints in
+      let h = Histogram.create ~capacity:4 () in
+      List.iter (Histogram.add h) samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      let nearest q =
+        if n = 0 then Float.nan
+        else
+          let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+          sorted.(max 0 (min (n - 1) (rank - 1)))
+      in
+      let same a b = (Float.is_nan a && Float.is_nan b) || a = b in
+      let s = Histogram.summary h in
+      s.Histogram.count = n
+      && same s.Histogram.mean
+           (if n = 0 then Float.nan
+            else Array.fold_left ( +. ) 0.0 sorted /. float_of_int n)
+      && same s.Histogram.p50 (nearest 0.50)
+      && same s.Histogram.p95 (nearest 0.95)
+      && same s.Histogram.p99 (nearest 0.99)
+      && same s.Histogram.max (if n = 0 then Float.nan else sorted.(n - 1))
+      && same (Histogram.percentile h q) (nearest q))
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -592,5 +628,6 @@ let () =
           quick "streaming empty and single" test_streaming_empty_and_single;
           quick "streaming overflow" test_streaming_overflow;
           prop prop_streaming_bounded_error;
+          prop prop_exact_summary_matches_reference;
         ] );
     ]
