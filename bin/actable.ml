@@ -33,9 +33,67 @@ let f_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
+(* A command-line error found after parsing (flags that disagree with
+   each other, a spec the library rejects): one [actable: CMD: MSG] line
+   on stderr and cmdliner's command-line-error exit status. *)
+let cli_error cmd msg =
+  Format.eprintf "actable: %s: %s@." cmd msg;
+  exit Cmd.Exit.cli_error
+
+(* Delays (units of U) to ticks. [int_of_float] is unspecified on nan, on
+   infinities and beyond the int range (amd64 yields 0), so such a value
+   is refused instead of silently becoming the instant 0. *)
+let ticks_of_delays d =
+  let ticks = d *. float_of_int u in
+  if Float.abs ticks < 0x1p62 then Ok (int_of_float ticks)
+  else
+    Error (`Msg (Printf.sprintf "%g delays is out of range" d))
+
+(* A spec field holding a number of delays, as ticks; [err] when it is
+   not a number. *)
+let ticks_of_string ~err s =
+  match float_of_string_opt s with
+  | Some d -> ticks_of_delays d
+  | None -> Error err
+
+let ( let* ) = Result.bind
+
+(* A float flag in units of U: refused at parse time unless it converts
+   to ticks. *)
+let delays_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected a number" s))
+    | Some d -> Result.map (fun _ -> d) (ticks_of_delays d)
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* Ranks start at 1; whether a rank names one of the run's n processes
+   is checked once n is known ([check_system]). *)
+let rank_of_string s =
+  match int_of_string_opt s with
+  | Some r when r >= 1 -> Ok r
+  | Some r -> Error (`Msg (Printf.sprintf "rank %d is below 1" r))
+  | None -> Error (`Msg (Printf.sprintf "invalid rank '%s'" s))
+
 let vote0_arg =
   let doc = "Rank of a process voting 0 (repeatable), e.g. --vote0 3." in
-  Arg.(value & opt_all int [] & info [ "vote0" ] ~docv:"RANK" ~doc)
+  let rank = Arg.conv (rank_of_string, Format.pp_print_int) in
+  Arg.(value & opt_all rank [] & info [ "vote0" ] ~docv:"RANK" ~doc)
+
+(* n, f and the --vote0 ranks arrive as separate flags; they must describe
+   one system (the same rule [Scenario.make] applies to n and f). *)
+let check_system cmd ~n ~f vote0 =
+  if n < 2 then cli_error cmd (Printf.sprintf "-n %d: n must be >= 2" n);
+  if f < 1 || f > n - 1 then
+    cli_error cmd (Printf.sprintf "-f %d: f must be in 1..n-1 (n = %d)" f n);
+  List.iter
+    (fun r ->
+      if r > n then
+        cli_error cmd (Printf.sprintf "--vote0 %d: no such rank (n = %d)" r n))
+    vote0
 
 let crash_conv =
   let parse s =
@@ -48,31 +106,21 @@ let crash_conv =
     in
     match String.split_on_char '@' s with
     | [ rank; rest ] -> (
-        match int_of_string_opt rank with
-        | None -> Error err
-        | Some rank -> (
-            let pid = Pid.of_rank rank in
-            match String.split_on_char ':' rest with
-            | [ d ] -> (
-                match float_of_string_opt d with
-                | Some d ->
-                    Ok (pid, Scenario.Before (int_of_float (d *. float_of_int u)))
+        let* rank = rank_of_string rank in
+        let pid = Pid.of_rank rank in
+        match String.split_on_char ':' rest with
+        | [ d ] ->
+            let* at = ticks_of_string ~err d in
+            Ok (pid, Scenario.Before at)
+        | [ d; sends ] -> (
+            match String.split_on_char '=' sends with
+            | [ "sends"; k ] -> (
+                let* at = ticks_of_string ~err d in
+                match int_of_string_opt k with
+                | Some k -> Ok (pid, Scenario.During_sends (at, k))
                 | None -> Error err)
-            | [ d; sends ] -> (
-                match
-                  ( float_of_string_opt d,
-                    String.split_on_char '=' sends )
-                with
-                | Some d, [ "sends"; k ] -> (
-                    match int_of_string_opt k with
-                    | Some k ->
-                        Ok
-                          ( pid,
-                            Scenario.During_sends
-                              (int_of_float (d *. float_of_int u), k) )
-                    | None -> Error err)
-                | _, _ -> Error err)
-            | _ -> Error err))
+            | _ -> Error err)
+        | _ -> Error err)
     | _ -> Error err
   in
   let print ppf (pid, crash) =
@@ -173,9 +221,18 @@ let run_cmd =
           Network.eventually_synchronous ~u ~gst:(10 * u)
             ~max_early_delay:(4 * u)
     in
+    check_system "run" ~n ~f vote0;
     let scenario =
-      Scenario.make ~n ~f ~seed ~network ~crashes ()
-      |> fun s -> Scenario.with_no_votes s (List.map Pid.of_rank vote0)
+      (* a crash schedule the scenario rejects is a command-line error;
+         any other exception is a bug and stays uncaught *)
+      try
+        Scenario.with_no_votes
+          (Scenario.make ~n ~f ~seed ~network ~crashes ())
+          (List.map Pid.of_rank vote0)
+      with
+      | Invalid_argument msg when String.starts_with ~prefix:"Scenario: " msg
+      ->
+        cli_error "run" msg
     in
     let runner = Registry.find_exn protocol in
     let report = runner.Registry.run ~consensus scenario in
@@ -306,7 +363,8 @@ let db_cmd =
     Term.(const action $ n_arg $ f_arg $ jobs_arg)
 
 let txserve_cmd =
-  let ticks d = int_of_float (d *. float_of_int u) in
+  (* the delays flags below all went through [delays_conv] *)
+  let ticks d = Result.get_ok (ticks_of_delays d) in
   let clients_arg =
     Arg.(
       value & opt int 128
@@ -325,7 +383,7 @@ let txserve_cmd =
   in
   let batch_window_arg =
     Arg.(
-      value & opt float 0.5
+      value & opt delays_conv 0.5
       & info [ "batch-window" ] ~docv:"DELAYS"
           ~doc:
             "How long a batch collects co-resident transactions, in units \
@@ -339,7 +397,7 @@ let txserve_cmd =
   in
   let think_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt delays_conv 1.0
       & info [ "think" ] ~docv:"DELAYS"
           ~doc:"Max client think time between transactions, units of U.")
   in
@@ -356,7 +414,7 @@ let txserve_cmd =
   in
   let election_timeout_arg =
     Arg.(
-      value & opt float 12.0
+      value & opt delays_conv 12.0
       & info [ "election-timeout" ] ~docv:"DELAYS"
           ~doc:
             "How long a parked instance waits before the lowest live \
@@ -384,14 +442,13 @@ let txserve_cmd =
       match String.split_on_char '@' s with
       | [ rank; rest ] -> (
           match (int_of_string_opt rank, String.split_on_char ':' rest) with
-          | Some rank, [ d ] -> (
-              match float_of_string_opt d with
-              | Some d -> Ok (rank, ticks d, None)
-              | None -> Error err)
-          | Some rank, [ d; back ] -> (
-              match (float_of_string_opt d, float_of_string_opt back) with
-              | Some d, Some back -> Ok (rank, ticks d, Some (ticks back))
-              | _ -> Error err)
+          | Some rank, [ d ] ->
+              let* down = ticks_of_string ~err d in
+              Ok (rank, down, None)
+          | Some rank, [ d; back ] ->
+              let* down = ticks_of_string ~err d in
+              let* back = ticks_of_string ~err back in
+              Ok (rank, down, Some back)
           | _ -> Error err)
       | _ -> Error err
     in
@@ -521,8 +578,7 @@ let txserve_cmd =
       try Commit_service.run ~consensus ~protocol ~n ~f spec
       with Invalid_argument msg
       when String.starts_with ~prefix:"Commit_service.run: " msg ->
-        Format.eprintf "actable: txserve: %s@." msg;
-        exit Cmd.Exit.cli_error
+        cli_error "txserve" msg
     in
     Format.printf "%a@." Commit_service.pp_stats stats;
     gate "txserve atomicity" stats.Commit_service.atomicity_ok;
@@ -850,6 +906,7 @@ let mc_cmd =
   let action protocol n f klass expect budgets fp pool symmetry
       swarm_open_depth stats consensus vote0 no_naive msc jobs shared
       no_stealing swarm no_swarm =
+    check_system "mc" ~n ~f vote0;
     let vote_sets =
       match vote0 with
       | [] -> None
@@ -970,6 +1027,7 @@ let mc_cmd =
 
 let mctable_cmd =
   let action n f budgets fp pool symmetry jobs shared =
+    check_system "mctable" ~n ~f [];
     let visited =
       if shared then Mc_limits.Shared else Mc_limits.default_visited
     in

@@ -18,6 +18,37 @@ module type CONFIG = sig
       [f]. *)
 end
 
+(* Whether [p] is bound in one of the first [k] sets of [sets]. *)
+let rec bound_in_first k p = function
+  | (_, c) :: rest when k > 0 -> Vset.mem p c || bound_in_first (k - 1) p rest
+  | _ -> false
+
+(* Whether [bindings], those of the [k]-th set of [collection1], hold a
+   [no] that is its pid's first binding: neither [collection0] nor the [k]
+   sets listed before bind that pid. *)
+let rec first_no collection0 collection1 k = function
+  | [] -> false
+  | (p, v) :: rest ->
+      (Vote.equal v Vote.no
+      && (not (Vset.mem p collection0))
+      && not (bound_in_first k p collection1))
+      || first_no collection0 collection1 k rest
+
+let rec acks_conjunction collection0 collection1 k = function
+  | [] -> Vote.yes
+  | (_, c) :: rest ->
+      if first_no collection0 collection1 k (Vset.bindings c) then Vote.no
+      else acks_conjunction collection0 collection1 (k + 1) rest
+
+(* [Vset.conjunction (Vset.union collection0 merged)], where [merged]
+   folds [collection1]'s sets together with [Vset.union] in list order,
+   computed without building either union. Both unions keep a pid's
+   first binding, so its vote is [collection0]'s when it has one, else
+   that of the first set in [collection1] holding it. *)
+let first_binding_conjunction collection0 collection1 =
+  if Vote.equal (Vset.conjunction collection0) Vote.no then Vote.no
+  else acks_conjunction collection0 collection1 0 collection1
+
 let backups env =
   let f = env.Proto.f in
   let i = Proto_util.rank env in
@@ -200,9 +231,7 @@ module Make (Cfg : CONFIG) = struct
        complete vote set; fold them in rather than trusting the local
        collection, which can lag behind (e.g. when the decision fires
        from the help-quorum guard on a late [C]) *)
-    let d =
-      Vset.conjunction (Vset.union state.collection0 (merged_collections state))
-    in
+    let d = first_binding_conjunction state.collection0 state.collection1 in
     ( { state with decided = true },
       [ Proto.Note ("decide-path", "direct"); Proto_util.decide_vote d ]
       @ cancel_phase_timers )
@@ -314,7 +343,8 @@ module Make (Cfg : CONFIG) = struct
     [
       ( "answer-pending-help",
         fun _env state ->
-          (state.phase = Phase2 || state.decided) && state.pending_help <> [] );
+          (state.phase = Phase2 || state.decided)
+          && match state.pending_help with [] -> false | _ :: _ -> true );
       ( "help-quorum",
         fun env state ->
           Proto_util.rank env >= env.Proto.f + 1

@@ -52,3 +52,11 @@ include Proto.PROTOCOL
 
 val backups : Proto.env -> Pid.t list
 (** The backup set [B_P] of the calling process, exposed for tests. *)
+
+val first_binding_conjunction : Vset.t -> (Pid.t * Vset.t) list -> Vote.t
+(** [first_binding_conjunction collection0 collection1] is the vote a
+    direct decision takes: the conjunction of [collection0] united with
+    every acknowledged set of [collection1] (a [(sender, set)] list),
+    where a pid's first binding wins — [collection0]'s, else that of the
+    first listed set holding it — exactly as {!Vset.union} folds them.
+    Computed without building the union; exposed for tests. *)

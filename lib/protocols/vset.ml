@@ -14,7 +14,9 @@ let rec add p v = function
       else (q, w) :: add p v rest
 
 let union a b = List.fold_left (fun acc (p, v) -> add p v acc) a b
-let mem p t = List.exists (fun (q, _) -> Pid.equal p q) t
+let rec mem p = function
+  | [] -> false
+  | (q, _) :: rest -> Pid.equal p q || mem p rest
 let find p t = List.assoc_opt p t
 let cardinal = List.length
 let bindings t = t

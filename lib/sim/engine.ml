@@ -121,14 +121,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     let last_event_time = ref Sim_time.zero in
     let rec loop () =
-      match Event_queue.pop queue with
-      | None -> Report.Quiescent !last_event_time
-      | Some (time, _klass, ev) ->
-          if time > scenario.Scenario.max_time then Report.Max_time_reached
-          else begin
-            if handle_event ~now:time ev then last_event_time := time;
-            loop ()
-          end
+      if Event_queue.is_empty queue then Report.Quiescent !last_event_time
+      else
+        let time = Event_queue.min_time queue in
+        if time > scenario.Scenario.max_time then Report.Max_time_reached
+        else begin
+          if handle_event ~now:time (Event_queue.take queue) then
+            last_event_time := time;
+          loop ()
+        end
     in
     let outcome = loop () in
     {

@@ -1,130 +1,192 @@
-type 'a cell = {
-  mutable time : Sim_time.t;
-  mutable klass : int;
-  mutable seq : int;
-  mutable payload : 'a option;
-      (* cleared to [None] when the cell pops, so dead heap slots (the
-         region beyond [len], plus grow-seed duplicates) never pin a
-         popped payload however long the queue lives *)
-}
+(* A binary min-heap over parallel int arrays. Heap position [i] holds the
+   event's (time, klass, seq) key and the index of its payload slot; the
+   payload itself and the event's tag live in slot-indexed tables, written
+   once by [add] and read once by [take]. Sifting therefore moves ints into
+   a hole — no record dereference per compare and no [caml_modify] per
+   swap.
+
+   Slot bookkeeping needs no free list: [slots.(len..cap-1)] always holds
+   exactly the free slot indices. [add] takes the free slot parked at
+   position [len], and [take] parks the popped event's slot at the
+   position the heap vacates. *)
 
 type 'a t = {
-  mutable heap : 'a cell array;
-  (* [heap.(0..len-1)] is a binary min-heap on (time, klass, seq). *)
+  mutable times : int array;
+  mutable klasses : int array;
+  mutable seqs : int array;
+  mutable slots : int array;  (* heap position -> payload slot *)
+  mutable payloads : 'a option array;
+      (* slot -> payload; [None] once taken, so a free slot never pins a
+         popped payload however long the queue lives *)
+  mutable tags : int array;  (* slot -> tag *)
   mutable len : int;
   mutable next_seq : int;
-  mutable free : 'a cell list;
-      (* popped cells awaiting reuse by [add]. A cell enters the list at
-         most once per live period (pop handles each live cell exactly
-         once), so mutating a reused cell can never corrupt another live
-         slot — the only other references to it are dead heap slots,
-         which are never read. *)
-  mutable free_len : int;
 }
 
 (* An engine queue drains between instants and refills at the next one;
-   the backing array is kept across drains (popped cells are cleared, not
-   freed) so steady-state refills re-use capacity instead of re-growing
-   from 16 every instant. The retained capacity is bounded: a drain after
-   an unusually large burst shrinks the array back to this many slots. *)
+   the backing arrays are kept across drains so steady-state refills
+   re-use capacity instead of re-growing from 16 every instant. The
+   retained capacity is bounded: a drain after an unusually large burst
+   shrinks the arrays back to this many slots. *)
 let max_retained = 256
 
-let create () = { heap = [||]; len = 0; next_seq = 0; free = []; free_len = 0 }
+let create () =
+  {
+    times = [||];
+    klasses = [||];
+    seqs = [||];
+    slots = [||];
+    payloads = [||];
+    tags = [||];
+    len = 0;
+    next_seq = 0;
+  }
 
-(* (time, klass, seq) order on int fields, compared inline: this runs on
-   every sift step, and [compare] functions are out-of-line calls *)
-let cell_lt a b =
-  a.time < b.time
-  || a.time = b.time
-     && (a.klass < b.klass || (a.klass = b.klass && a.seq < b.seq))
+(* Double a full heap's capacity. Every slot is live when the heap is
+   full, so the new slots are exactly the free ones, parked at the new
+   positions. *)
+let grow t =
+  let old = Array.length t.slots in
+  let cap = if old = 0 then 16 else 2 * old in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.klasses <- extend t.klasses 0;
+  t.seqs <- extend t.seqs 0;
+  let slots = extend t.slots 0 in
+  for i = old to cap - 1 do
+    slots.(i) <- i
+  done;
+  t.slots <- slots;
+  t.payloads <- extend t.payloads None;
+  t.tags <- extend t.tags 0
 
-(* [seed] fills the fresh slots, which also covers growing from an empty
-   heap (no live cell to borrow as filler); the duplicates it leaves in
-   the dead region un-pin themselves when the seed cell pops. *)
-let grow t seed =
-  let cap = Array.length t.heap in
-  if t.len = cap then begin
-    let new_cap = if cap = 0 then 16 else cap * 2 in
-    let heap = Array.make new_cap seed in
-    Array.blit t.heap 0 heap 0 t.len;
-    t.heap <- heap
+(* Cut an empty heap back to the retention bound; every slot is free. *)
+let shrink t =
+  let ints () = Array.make max_retained 0 in
+  t.times <- ints ();
+  t.klasses <- ints ();
+  t.seqs <- ints ();
+  t.slots <- Array.init max_retained Fun.id;
+  t.payloads <- Array.make max_retained None;
+  t.tags <- ints ()
+
+(* The sift helpers are inlined: each level of a sift then compiles to
+   straight-line int loads and stores. *)
+
+(* (time, klass, seq) < the key at heap position [j] *)
+let[@inline] key_lt t time klass seq j =
+  let tj = t.times.(j) in
+  time < tj
+  || time = tj
+     &&
+     let kj = t.klasses.(j) in
+     klass < kj || (klass = kj && seq < t.seqs.(j))
+
+(* the key at heap position [i] < the key at position [j] *)
+let[@inline] pos_lt t i j =
+  let ti = t.times.(i) and tj = t.times.(j) in
+  ti < tj
+  || ti = tj
+     &&
+     let ki = t.klasses.(i) and kj = t.klasses.(j) in
+     ki < kj || (ki = kj && t.seqs.(i) < t.seqs.(j))
+
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.klasses.(dst) <- t.klasses.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.slots.(dst) <- t.slots.(src)
+
+let[@inline] place t i time klass seq slot =
+  t.times.(i) <- time;
+  t.klasses.(i) <- klass;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot
+
+(* Move the hole at [i] up past every parent greater than the key, then
+   fill it. *)
+let rec sift_up t i time klass seq slot =
+  let parent = (i - 1) / 2 in
+  if i > 0 && key_lt t time klass seq parent then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent time klass seq slot
   end
+  else place t i time klass seq slot
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if cell_lt t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+(* Move the hole at [i] down past every child smaller than the key. *)
+let rec sift_down t i time klass seq slot =
+  let l = (2 * i) + 1 in
+  if l >= t.len then place t i time klass seq slot
+  else begin
+    let r = l + 1 in
+    let c = if r < t.len && pos_lt t r l then r else l in
+    if key_lt t time klass seq c then place t i time klass seq slot
+    else begin
+      move t ~src:c ~dst:i;
+      sift_down t c time klass seq slot
     end
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && cell_lt t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.len && cell_lt t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let add t ~time ~klass payload =
+let add_tagged t ~time ~klass ~tag payload =
   if time < 0 then invalid_arg "Event_queue.add: negative time";
   if klass < 0 then invalid_arg "Event_queue.add: negative class";
-  let cell =
-    match t.free with
-    | c :: rest ->
-        t.free <- rest;
-        t.free_len <- t.free_len - 1;
-        c.time <- time;
-        c.klass <- klass;
-        c.seq <- t.next_seq;
-        c.payload <- Some payload;
-        c
-    | [] -> { time; klass; seq = t.next_seq; payload = Some payload }
+  if t.len = Array.length t.slots then grow t;
+  let i = t.len in
+  let slot = t.slots.(i) in
+  t.payloads.(slot) <- Some payload;
+  t.tags.(slot) <- tag;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.len <- i + 1;
+  sift_up t i time klass seq slot
+
+let add t ~time ~klass payload = add_tagged t ~time ~klass ~tag:0 payload
+let is_empty t = t.len = 0
+let size t = t.len
+let capacity t = Array.length t.slots
+
+let check_nonempty t what =
+  if t.len = 0 then invalid_arg ("Event_queue." ^ what ^ ": empty queue")
+
+let min_time t =
+  check_nonempty t "min_time";
+  t.times.(0)
+
+let min_klass t =
+  check_nonempty t "min_klass";
+  t.klasses.(0)
+
+let min_tag t =
+  check_nonempty t "min_tag";
+  t.tags.(t.slots.(0))
+
+let take t =
+  check_nonempty t "take";
+  let slot = t.slots.(0) in
+  let payload =
+    match t.payloads.(slot) with
+    | Some p -> p
+    | None -> assert false (* live slots always carry their payload *)
   in
-  t.next_seq <- t.next_seq + 1;
-  grow t cell;
-  t.heap.(t.len) <- cell;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  t.payloads.(slot) <- None;
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then
+    sift_down t 0 t.times.(last) t.klasses.(last) t.seqs.(last)
+      t.slots.(last);
+  (* the vacated position parks the freed slot *)
+  t.slots.(last) <- slot;
+  if last = 0 && Array.length t.slots > max_retained then shrink t;
+  payload
 
 let pop t =
   if t.len = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    let payload =
-      match top.payload with
-      | Some p -> p
-      | None -> assert false (* live cells always carry their payload *)
-    in
-    (* clearing the popped cell itself un-pins the payload through every
-       alias of the record (dead slots, grow-seed duplicates) *)
-    top.payload <- None;
-    if t.free_len < max_retained then begin
-      t.free <- top :: t.free;
-      t.free_len <- t.free_len + 1
-    end;
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.heap.(0) <- t.heap.(t.len);
-      (* the cleared cell parks in the vacated slot: capacity survives
-         drain/refill cycles without the slot pinning anything *)
-      t.heap.(t.len) <- top;
-      sift_down t 0
-    end
-    else if Array.length t.heap > max_retained then
-      (* drained after a burst: keep a bounded number of (cleared) slots *)
-      t.heap <- Array.sub t.heap 0 max_retained;
-    Some (top.time, top.klass, payload)
-  end
+  else
+    let time = t.times.(0) and klass = t.klasses.(0) in
+    Some (time, klass, take t)
 
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
-let is_empty t = t.len = 0
-let size t = t.len
-let capacity t = Array.length t.heap
+let peek_time t = if t.len = 0 then None else Some t.times.(0)

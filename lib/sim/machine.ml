@@ -36,7 +36,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   type t = {
-    env_of : Pid.t -> Proto.env;
+    envs : Proto.env array;
+        (* per pid, built once: a step hands the automaton its env
+           without allocating one *)
     u : Sim_time.t;
     mutable sink : sink;
         (* swapped by [reset] when a pooled machine is re-bound to a new
@@ -85,15 +87,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   let create ?(pool = false) ?(record_trace = true) ~env_of ~n ~u ~sink () =
+    let envs = Array.init n (fun i -> env_of (Pid.of_index i)) in
     {
-      env_of;
+      envs;
       u;
       sink;
       trace = Trace.create ();
       trace_on = record_trace;
       tags = Hashtbl.create 64;
-      pstates = Array.init n (fun i -> P.init (env_of (Pid.of_index i)));
-      cstates = Array.init n (fun i -> C.init (env_of (Pid.of_index i)));
+      pstates = Array.map P.init envs;
+      cstates = Array.map C.init envs;
       crashed = Array.make n None;
       decisions = Array.make n None;
       cons_decided = Array.make n false;
@@ -119,7 +122,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     t.sink <- sink;
     Trace.restore t.trace empty_trace;
     for i = 0 to Array.length t.pstates - 1 do
-      let env = t.env_of (Pid.of_index i) in
+      let env = t.envs.(i) in
       t.pstates.(i) <- P.init env;
       t.cstates.(i) <- C.init env;
       t.crashed.(i) <- None;
@@ -139,7 +142,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let cstate t p = t.cstates.(Pid.index p)
   let decisions t = t.decisions
   let crashed_at t = t.crashed
-  let is_crashed t p = t.crashed.(Pid.index p) <> None
+  let[@inline] is_crashed t p =
+    match t.crashed.(Pid.index p) with None -> false | Some _ -> true
   let cons_handed t p = t.cons_decided.(Pid.index p)
 
   let timer_epoch t pid layer id =
@@ -293,19 +297,26 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         if t.trace_on && not (Vote.decision_equal first decision) then
           Trace.add t.trace (Trace.Decide { at = now; pid; decision })
 
+  (* The suffix of [guards] headed by the first enabled guard ([] when
+     none is): a plain recursion, so evaluating guards allocates
+     nothing. *)
+  let rec enabled env state = function
+    | [] -> []
+    | (_, pred) :: rest as guards ->
+        if pred env state then guards else enabled env state rest
+
   (* Interpreting actions. Commit-layer actions may invoke the consensus
      service ([Propose_consensus]) and consensus decisions re-enter the
      commit layer, hence the mutual recursion. [interpret_commit] runs the
      guard loop after the actions; [commit_actions] interprets actions
      only (used from inside the guard loop itself). *)
-  let rec commit_actions t ~now ~pid actions =
-    let env = t.env_of pid in
-    List.iter
-      (fun action ->
-        if is_crashed t pid then ()
-          (* the process died mid-action-list (send budget exhausted) *)
-        else
-        match (action : P.msg Proto.action) with
+  let rec commit_actions t ~now ~pid = function
+    | [] -> ()
+    | _ when is_crashed t pid ->
+        (* the process died mid-action-list (send budget exhausted) *)
+        ()
+    | action :: rest ->
+        (match (action : P.msg Proto.action) with
         | Proto.Send (dst, m) -> transmit t ~now ~src:pid ~dst (Commit_msg m)
         | Proto.Set_timer { id; fire } ->
             set_timer t ~now ~pid ~layer:Trace.Commit_layer ~id fire
@@ -322,25 +333,26 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                      label = "consensus-propose";
                      value = Format.asprintf "%a" Vote.pp v;
                    });
-            let cstate, cactions = C.on_propose env t.cstates.(Pid.index pid) v in
+            let cstate, cactions =
+              C.on_propose t.envs.(Pid.index pid) t.cstates.(Pid.index pid) v
+            in
             t.cstates.(Pid.index pid) <- cstate;
             touch t (Pid.index pid);
             interpret_cons t ~now ~pid cactions
         | Proto.Note (label, value) ->
             if t.trace_on then
-              Trace.add t.trace (Trace.Note { at = now; pid; label; value }))
-      actions
+              Trace.add t.trace (Trace.Note { at = now; pid; label; value }));
+        commit_actions t ~now ~pid rest
 
   and interpret_commit t ~now ~pid actions =
     commit_actions t ~now ~pid actions;
     run_guards t ~now ~pid
 
-  and interpret_cons t ~now ~pid actions =
-    List.iter
-      (fun action ->
-        if is_crashed t pid then ()
-        else
-        match (action : C.msg Proto.action) with
+  and interpret_cons t ~now ~pid = function
+    | [] -> ()
+    | _ when is_crashed t pid -> ()
+    | action :: rest ->
+        (match (action : C.msg Proto.action) with
         | Proto.Send (dst, m) -> transmit t ~now ~src:pid ~dst (Cons_msg m)
         | Proto.Set_timer { id; fire } ->
             set_timer t ~now ~pid ~layer:Trace.Consensus_layer ~id fire
@@ -361,9 +373,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                        label = "consensus-decide";
                        value = Format.asprintf "%a" Vote.pp_decision d;
                      });
-              let env = t.env_of pid in
               let pstate, pactions =
-                P.on_consensus_decide env t.pstates.(Pid.index pid)
+                P.on_consensus_decide t.envs.(Pid.index pid)
+                  t.pstates.(Pid.index pid)
                   (Vote.vote_of_decision d)
               in
               t.pstates.(Pid.index pid) <- pstate;
@@ -374,32 +386,29 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             failwith "Machine: consensus automaton proposed to consensus"
         | Proto.Note (label, value) ->
             if t.trace_on then
-              Trace.add t.trace (Trace.Note { at = now; pid; label; value }))
-      actions
+              Trace.add t.trace (Trace.Note { at = now; pid; label; value }));
+        interpret_cons t ~now ~pid rest
 
   and run_guards t ~now ~pid =
-    if is_crashed t pid then ()
-    else begin
-      let env = t.env_of pid in
-      let rec loop fuel =
-        if fuel = 0 then
-          failwith
-            (Printf.sprintf "Engine: guard loop of %s did not quiesce at %s"
-               P.name (Pid.to_string pid));
-        let state = t.pstates.(Pid.index pid) in
-        match List.find_opt (fun (_, pred) -> pred env state) P.guards with
-        | None -> ()
-        | Some (id, _) ->
-            if t.trace_on then
-              Trace.add t.trace (Trace.Guard { at = now; pid; guard = id });
-            let state, actions = P.on_guard env state ~id in
-            t.pstates.(Pid.index pid) <- state;
-            touch t (Pid.index pid);
-            commit_actions t ~now ~pid actions;
-            loop (fuel - 1)
-      in
-      loop guard_fuel
-    end
+    if not (is_crashed t pid) then guard_loop t ~now ~pid guard_fuel
+
+  (* One guard firing per iteration, until none is enabled. *)
+  and guard_loop t ~now ~pid fuel =
+    if fuel = 0 then
+      failwith
+        (Printf.sprintf "Engine: guard loop of %s did not quiesce at %s"
+           P.name (Pid.to_string pid));
+    let env = t.envs.(Pid.index pid) in
+    match enabled env t.pstates.(Pid.index pid) P.guards with
+    | [] -> ()
+    | (id, _) :: _ ->
+        if t.trace_on then
+          Trace.add t.trace (Trace.Guard { at = now; pid; guard = id });
+        let state, actions = P.on_guard env t.pstates.(Pid.index pid) ~id in
+        t.pstates.(Pid.index pid) <- state;
+        touch t (Pid.index pid);
+        commit_actions t ~now ~pid actions;
+        guard_loop t ~now ~pid (fuel - 1)
 
   (* ---- steps ----------------------------------------------------- *)
 
@@ -413,7 +422,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     if not (is_crashed t pid) then begin
       if t.trace_on then
         Trace.add t.trace (Trace.Propose { at = now; pid; vote });
-      let env = t.env_of pid in
+      let env = t.envs.(Pid.index pid) in
       let state, actions = P.on_propose env t.pstates.(Pid.index pid) vote in
       t.pstates.(Pid.index pid) <- state;
       touch t (Pid.index pid);
@@ -437,7 +446,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                tag = tag t payload;
                sent_at;
              });
-      let env = t.env_of dst in
+      let env = t.envs.(Pid.index dst) in
       match payload with
       | Commit_msg m ->
           let state, actions = P.on_deliver env t.pstates.(Pid.index dst) ~src m in
@@ -457,7 +466,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       (if not (is_crashed t pid) then begin
          if t.trace_on then
            Trace.add t.trace (Trace.Timeout { at = now; pid; timer = id });
-         let env = t.env_of pid in
+         let env = t.envs.(Pid.index pid) in
          match layer with
          | Trace.Commit_layer ->
              let state, actions = P.on_timeout env t.pstates.(Pid.index pid) ~id in

@@ -49,7 +49,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
     ?pool:bool -> ?record_trace:bool ->
     env_of:(Pid.t -> Proto.env) -> n:int -> u:Sim_time.t -> sink:sink ->
     unit -> t
-  (** [?pool] (default [false]) turns on snapshot pooling: {!release}d
+  (** [env_of] is called once per pid, here: the machine keeps the envs
+      and hands each automaton step its pid's env, so a step builds no
+      env, and neither the guard loop nor action interpretation
+      allocates a closure.
+
+      [?pool] (default [false]) turns on snapshot pooling: {!release}d
       snapshot records are recycled by the next {!snapshot}, which
       re-copies only the per-pid slots mutated since the record's own
       capture, and {!restore} writes back only the slots mutated since
@@ -67,8 +72,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   (** Reinitialize the machine for a fresh run under a new [sink]:
       protocol and consensus states return to [init], crash/decision/
       timer bookkeeping and the trace are cleared. Equivalent to
-      {!create} with the original parameters but reuses every array —
-      the per-instance recycling path of the commit service. Snapshot
+      {!create} with the original parameters but reuses every array and
+      the envs built by {!create} — the per-instance recycling path of
+      the commit service. Snapshot
       records captured before a reset must not be restored after it. *)
 
   (* ---- inspection ------------------------------------------------ *)

@@ -10,12 +10,11 @@ let slot_bits = 20
 let slot_mask = (1 lsl slot_bits) - 1
 
 type 'a t = {
-  queue : (int * 'a) Event_queue.t;
+  queue : 'a Event_queue.t;  (* each event's tag is its instance *)
   mutable gens : int array;  (* per slot: current generation *)
   mutable pending : int array;  (* per slot: pending of the current gen *)
   mutable free : int list;  (* retired slots awaiting re-allocation *)
   mutable slots_used : int;  (* high-water slot count *)
-  mutable events : int;
 }
 
 let create () =
@@ -25,7 +24,6 @@ let create () =
     pending = Array.make 64 0;
     free = [];
     slots_used = 0;
-    events = 0;
   }
 
 let slot tag = tag land slot_mask
@@ -77,19 +75,18 @@ let add t ~instance ~time ~klass payload =
     if s >= t.slots_used then t.slots_used <- s + 1;
     if t.gens.(s) = gen instance then t.pending.(s) <- t.pending.(s) + 1
   end;
-  t.events <- t.events + 1;
-  Event_queue.add t.queue ~time ~klass (instance, payload)
+  Event_queue.add_tagged t.queue ~time ~klass ~tag:instance payload
 
-let pop t =
-  match Event_queue.pop t.queue with
-  | None -> None
-  | Some (time, klass, (instance, payload)) ->
-      (if instance >= 0 then
-         let s = slot instance in
-         if s < Array.length t.gens && t.gens.(s) = gen instance then
-           t.pending.(s) <- t.pending.(s) - 1);
-      t.events <- t.events - 1;
-      Some (time, klass, instance, payload)
+let min_time t = Event_queue.min_time t.queue
+let min_instance t = Event_queue.min_tag t.queue
+
+let take t =
+  let instance = Event_queue.min_tag t.queue in
+  (if instance >= 0 then
+     let s = slot instance in
+     if s < Array.length t.gens && t.gens.(s) = gen instance then
+       t.pending.(s) <- t.pending.(s) - 1);
+  Event_queue.take t.queue
 
 let pending t instance =
   if instance < 0 then 0
@@ -99,5 +96,5 @@ let pending t instance =
       t.pending.(s)
     else 0
 
-let size t = t.events
-let is_empty t = t.events = 0
+let size t = Event_queue.size t.queue
+let is_empty t = Event_queue.is_empty t.queue

@@ -52,13 +52,23 @@ val slot : int -> int
 
 val add : 'a t -> instance:int -> time:Sim_time.t -> klass:int -> 'a -> unit
 (** Enqueue an event for [instance] (or a service event when
-    [instance < 0]).
+    [instance < 0]). The instance rides in the event's {!Event_queue} tag,
+    so no [(instance, payload)] pair is built.
     @raise Invalid_argument if [time < 0] or [klass < 0]. *)
 
-val pop : 'a t -> (Sim_time.t * int * int * 'a) option
-(** Remove and return the minimum event as
-    [(time, klass, instance, payload)], decrementing the instance's
-    pending count; [None] when empty. *)
+val min_time : 'a t -> Sim_time.t
+
+val min_instance : 'a t -> int
+(** The time and instance of the minimum event, read without
+    allocating.
+    @raise Invalid_argument when the queue is empty. *)
+
+val take : 'a t -> 'a
+(** Remove the minimum event and return its payload, decrementing its
+    instance's pending count. A drive loop reads the minimum through the
+    [min_*] accessors first, so one event costs no allocation beyond the
+    payload's option cell written by {!add}.
+    @raise Invalid_argument when the queue is empty. *)
 
 val pending : 'a t -> int -> int
 (** Events still queued for this instance. 0 for ids never seen and for

@@ -230,7 +230,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       let s = Mux.slot tag in
       if s < Array.length !slots then
         match !slots.(s) with
-        | Some inst when inst.tag = tag -> Some inst
+        | Some inst as found when inst.tag = tag -> found
         | _ -> None
       else None
     in
@@ -902,18 +902,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     done;
 
     let rec loop () =
-      match Mux.pop q with
-      | None -> ()
-      | Some (time, _klass, instance, ev) ->
-          if time <= spec.max_time then begin
-            last_time := time;
-            handle time instance ev;
-            (if instance >= 0 && Mux.pending q instance = 0 then
-               match find_by_tag instance with
-               | Some inst when not inst.quiesced -> finalize time inst
-               | _ -> ());
-            loop ()
-          end
+      if not (Mux.is_empty q) then begin
+        let time = Mux.min_time q in
+        if time <= spec.max_time then begin
+          let instance = Mux.min_instance q in
+          let ev = Mux.take q in
+          last_time := time;
+          handle time instance ev;
+          (if instance >= 0 && Mux.pending q instance = 0 then
+             match find_by_tag instance with
+             | Some inst when not inst.quiesced -> finalize time inst
+             | _ -> ());
+          loop ()
+        end
+      end
     in
     loop ();
     let wall_seconds = Unix.gettimeofday () -. wall_start in

@@ -61,7 +61,7 @@
       write-ahead entries left on live shards.
     - {b Soak scale}: the service's footprint is the {e live} state, not
       the history — machines and instance records recycle through pools
-      ({!Machine.reset}, disable with [recycle = false]), event cells and
+      ({!Machine.reset}, disable with [recycle = false]), event slots and
       Mux slots recycle ({!Mux.retire}), fully resolved instances retire
       with their atomicity checked incrementally, and [soak = true] swaps
       the exact latency/queue histograms for fixed-bin streaming ones —

@@ -351,6 +351,39 @@ let test_consensus_independence () =
      v.Check.agreement && Check.validity v)
 
 (* ------------------------------------------------------------------ *)
+(* Direct-decision conjunction *)
+
+(* The direct decision reads the conjunction of [collection0] united with
+   every acknowledged set, computed without building the union. It must
+   agree with the union it replaces, including when the sets disagree
+   about a pid's vote: the union keeps a pid's first binding. Ranks are
+   drawn from a small range so the sets overlap, and one vote in four is
+   a [no] so both outcomes occur. *)
+let prop_first_binding_conjunction =
+  let binding = QCheck.(pair (int_range 1 5) (int_range 0 3)) in
+  QCheck.Test.make ~count:500
+    ~name:"direct-decision conjunction equals the union's"
+    QCheck.(
+      pair (small_list binding) (list_of_size Gen.(0 -- 4) (small_list binding)))
+    (fun (c0, c1) ->
+      let vset bindings =
+        List.fold_left
+          (fun acc (rank, v) ->
+            Vset.add (Pid.of_rank rank) (Vote.of_bool (v > 0)) acc)
+          Vset.empty bindings
+      in
+      let collection0 = vset c0 in
+      let collection1 = List.mapi (fun i c -> (Pid.of_index i, vset c)) c1 in
+      let merged =
+        List.fold_left
+          (fun acc (_, c) -> Vset.union acc c)
+          Vset.empty collection1
+      in
+      Vote.equal
+        (Inbac.first_binding_conjunction collection0 collection1)
+        (Vset.conjunction (Vset.union collection0 merged)))
+
+(* ------------------------------------------------------------------ *)
 (* Properties: indulgence *)
 
 let prop_inbac_crash_nbac =
@@ -431,6 +464,8 @@ let () =
           quick "real inbac survives" test_real_inbac_survives_the_same_adversary;
           quick "nice executions identical" test_undershoot_nice_identical;
         ] );
+      ( "direct decision",
+        [ prop prop_first_binding_conjunction ] );
       ( "indulgence",
         [
           quick "consensus independence" test_consensus_independence;

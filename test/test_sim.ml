@@ -141,32 +141,45 @@ let test_queue_no_payload_pinning () =
   ignore (Sys.opaque_identity q)
 
 (* Interleaved adds and pops against a model multiset: every pop must
-   return the minimum (time, class, insertion seq) of what is currently
-   queued, including after the queue fully drains and refills (which
-   exercises the backing-array release and regrowth-from-empty paths). *)
+   see the minimum (time, class, insertion seq) of what is currently
+   queued, with that event's tag, through the allocation-free readers,
+   and [take] must hand back its payload — including after the queue
+   fully drains and refills (which exercises the backing-array release
+   and regrowth-from-empty paths). *)
 let prop_queue_interleaved =
   QCheck.Test.make ~count:300
     ~name:"interleaved adds/pops preserve the heap property"
-    QCheck.(small_list (option (pair (int_range 0 50) (int_range 0 3))))
+    QCheck.(
+      small_list
+        (option (triple (int_range 0 50) (int_range 0 3) small_signed_int)))
     (fun ops ->
       let q = Event_queue.create () in
       let model = ref [] in
       let seq = ref 0 in
       let ok = ref true in
       let pop_checked () =
-        match (Event_queue.pop q, !model) with
-        | None, [] -> ()
-        | None, _ :: _ | Some _, [] -> ok := false
-        | Some (_, _, v), c :: cs ->
-            let min_cell = List.fold_left min c cs in
-            if v <> min_cell then ok := false;
-            model := List.filter (fun c' -> c' <> min_cell) !model
+        match !model with
+        | [] ->
+            if not (Event_queue.is_empty q) then begin
+              ok := false;
+              ignore (Event_queue.take q)
+            end
+        | c :: cs ->
+            let ((time, klass, _) as key), tag = List.fold_left min c cs in
+            if
+              Event_queue.is_empty q
+              || Event_queue.min_time q <> time
+              || Event_queue.min_klass q <> klass
+              || Event_queue.min_tag q <> tag
+              || Event_queue.take q <> key
+            then ok := false;
+            model := List.filter (fun (k, _) -> k <> key) !model
       in
       List.iter
         (function
-          | Some (time, klass) ->
-              Event_queue.add q ~time ~klass (time, klass, !seq);
-              model := (time, klass, !seq) :: !model;
+          | Some (time, klass, tag) ->
+              Event_queue.add_tagged q ~time ~klass ~tag (time, klass, !seq);
+              model := ((time, klass, !seq), tag) :: !model;
               incr seq
           | None -> pop_checked ())
         ops;
@@ -752,6 +765,12 @@ let test_report_accessors () =
 (* ------------------------------------------------------------------ *)
 (* Mux: instance-tagged multiplexing for the multi-shot service *)
 
+(* Read the minimum through the allocation-free accessors, then take it. *)
+let mux_pop m =
+  if Mux.is_empty m then Alcotest.fail "unexpected empty mux";
+  let time = Mux.min_time m and instance = Mux.min_instance m in
+  (time, instance, Mux.take m)
+
 let test_mux_order_and_pending () =
   let m = Mux.create () in
   Mux.add m ~instance:1 ~time:5 ~klass:2 "i1-late";
@@ -761,19 +780,21 @@ let test_mux_order_and_pending () =
   check tint "pending i0" 1 (Mux.pending m 0);
   check tint "pending i1" 2 (Mux.pending m 1);
   check tint "size counts service events" 4 (Mux.size m);
-  let pop () =
-    match Mux.pop m with
-    | Some e -> e
-    | None -> Alcotest.fail "unexpected empty mux"
-  in
-  check tbool "time order first" true (pop () = (3, 2, 1, "i1-early"));
+  check tbool "time order first" true (mux_pop m = (3, 1, "i1-early"));
+  check tint "take decrements pending" 1 (Mux.pending m 1);
   (* equal time: class order, then insertion order within a class —
      exactly the engine's (time, class, sequence) law *)
-  check tbool "class then fifo" true (pop () = (5, 1, 0, "i0-propose"));
-  check tbool "service event interleaves" true (pop () = (5, 1, -1, "service"));
-  check tbool "last" true (pop () = (5, 2, 1, "i1-late"));
+  check tbool "class then fifo" true (mux_pop m = (5, 0, "i0-propose"));
+  check tint "i0 quiesced" 0 (Mux.pending m 0);
+  check tbool "service event interleaves" true
+    (mux_pop m = (5, -1, "service"));
+  check tint "service take leaves instances alone" 1 (Mux.pending m 1);
+  check tbool "last" true (mux_pop m = (5, 1, "i1-late"));
   check tint "i1 quiesced" 0 (Mux.pending m 1);
-  check tbool "drained" true (Mux.is_empty m && Mux.pop m = None)
+  check tbool "drained" true (Mux.is_empty m);
+  Alcotest.check_raises "no minimum when drained"
+    (Invalid_argument "Event_queue.min_time: empty queue") (fun () ->
+      ignore (Mux.min_time m))
 
 let test_mux_pending_growth () =
   let m = Mux.create () in
@@ -785,11 +806,40 @@ let test_mux_pending_growth () =
   check tint "grown instance tracked" 1 (Mux.pending m 500);
   check tint "dense instance tracked" 10 (Mux.pending m 3);
   check tint "unseen instance" 0 (Mux.pending m 499);
-  let rec drain () = match Mux.pop m with Some _ -> drain () | None -> () in
-  drain ();
+  while not (Mux.is_empty m) do
+    ignore (Mux.take m)
+  done;
   check tbool "empty after drain" true (Mux.is_empty m);
   check tint "all quiesced" 0 (Mux.pending m 3);
   check tint "grown quiesced" 0 (Mux.pending m 500)
+
+(* Allocation pin for the service's dispatch loop: a warm mux that keeps
+   cycling events (take the minimum, re-add it later) without ever
+   draining allocates only the payload's option cell per event — no
+   (instance, payload) pair, no result tuple, no boxed heap cell. *)
+let test_mux_cycle_allocation () =
+  let m = Mux.create () in
+  let inst = Mux.alloc m in
+  for i = 0 to 63 do
+    Mux.add m ~instance:inst ~time:i ~klass:(i land 3) i
+  done;
+  let cycle events =
+    for _ = 1 to events do
+      let time = Mux.min_time m in
+      let instance = Mux.min_instance m in
+      let v = Mux.take m in
+      Mux.add m ~instance ~time:(time + 1 + (v land 7)) ~klass:(v land 3) v
+    done
+  in
+  cycle 10_000;
+  let events = 100_000 in
+  let w0 = Gc.minor_words () in
+  cycle events;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+  check tint "standing population" 64 (Mux.pending m inst);
+  check tbool
+    (Printf.sprintf "%.2f minor words per cycled event <= 3" per_event)
+    true (per_event <= 3.0)
 
 let test_mux_service_events_untracked () =
   let m = Mux.create () in
@@ -820,6 +870,8 @@ let () =
           quick "order and pending" test_mux_order_and_pending;
           quick "pending table growth" test_mux_pending_growth;
           quick "service events untracked" test_mux_service_events_untracked;
+          quick "cycling allocates one payload cell per event"
+            test_mux_cycle_allocation;
         ] );
       ( "network",
         [
