@@ -387,28 +387,28 @@ let mc_pinned ~fp () =
   Mc_run.run ~fp ~jobs:1 ~naive:false ~protocol:"inbac" ~n:3 ~f:1
     ~klass:Mc_run.Crash ()
 
-(* Frontier-scheduling matrix on the same pinned configuration: the
-   legacy shared-cursor baseline against work-stealing and the shared
-   (globally-deduplicating) visited table, at jobs=1 and jobs=4. The
-   per-item rows keep identical counters by construction; the shared
-   rows explore strictly fewer states (global dedup), which is where the
-   states/sec and wall-clock win comes from even on few cores. *)
+(* Frontier-scheduling matrix on the same pinned configuration: per-item
+   and shared (globally-deduplicating) visited tables over the one
+   shared cursor, and swarm walks, at jobs=1 and jobs=4. The per-item
+   rows keep identical counters by construction; the shared rows explore
+   strictly fewer states (global dedup), which is where the states/sec
+   and wall-clock win comes from even on few cores. *)
 let mc_frontier_configs =
   [
-    (* the pre-existing arms pin [swarm = Some false] so auto-swarm (which
+    (* the frontier arms pin [swarm = Some false] so auto-swarm (which
        would otherwise kick in for shared visited at jobs >= 4) cannot
        silently change what they measure across releases *)
-    ("per_item_cursor_j1", Mc_limits.Per_item, false, 1, Some false);
-    ("per_item_stealing_j4", Mc_limits.Per_item, true, 4, Some false);
-    ("shared_stealing_j1", Mc_limits.Shared, true, 1, Some false);
-    ("shared_stealing_j4", Mc_limits.Shared, true, 4, Some false);
-    ("swarm_shared_j1", Mc_limits.Shared, false, 1, Some true);
-    ("swarm_shared_j4", Mc_limits.Shared, false, 4, Some true);
+    ("per_item_cursor_j1", Mc_limits.Per_item, 1, Some false);
+    ("per_item_cursor_j4", Mc_limits.Per_item, 4, Some false);
+    ("shared_cursor_j1", Mc_limits.Shared, 1, Some false);
+    ("shared_cursor_j4", Mc_limits.Shared, 4, Some false);
+    ("swarm_shared_j1", Mc_limits.Shared, 1, Some true);
+    ("swarm_shared_j4", Mc_limits.Shared, 4, Some true);
   ]
 
-let mc_frontier_run (_, visited, stealing, jobs, swarm) =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~naive:false ~visited ~stealing
-    ?swarm ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
+let mc_frontier_run (_, visited, jobs, swarm) =
+  Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~naive:false ~visited ?swarm
+    ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
 
 (* Snapshot-pool A/B on the pinned configuration. Timing is interleaved
    ([time_best_each]) so frequency drift cannot bias one arm; allocation
@@ -563,7 +563,7 @@ let run_json path =
   in
   let frontier =
     List.map
-      (fun ((name, _, _, _, _), outcome, secs) ->
+      (fun ((name, _, _, _), outcome, secs) ->
         let c = outcome.Mc_run.counters in
         ( name,
           secs,
@@ -578,11 +578,11 @@ let run_json path =
     in
     s
   in
-  let stealing_speedup =
-    frontier_secs "per_item_cursor_j1" /. frontier_secs "per_item_stealing_j4"
+  let per_item_speedup =
+    frontier_secs "per_item_cursor_j1" /. frontier_secs "per_item_cursor_j4"
   in
   let shared_speedup =
-    frontier_secs "per_item_cursor_j1" /. frontier_secs "shared_stealing_j4"
+    frontier_secs "per_item_cursor_j1" /. frontier_secs "shared_cursor_j4"
   in
   let swarm_speedup =
     frontier_secs "per_item_cursor_j1" /. frontier_secs "swarm_shared_j4"
@@ -766,7 +766,7 @@ let run_json path =
     Buffer.add_string buf "  }"
   in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"actable-bench/9\",\n";
+  Buffer.add_string buf "  \"schema\": \"actable-bench/10\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"pairs\": [%s],\n"
        (String.concat ", "
@@ -811,7 +811,7 @@ let run_json path =
            name secs states schedules sps))
     frontier;
   Buffer.add_string buf
-    (Printf.sprintf "      \"stealing_speedup_j4\": %.2f,\n" stealing_speedup);
+    (Printf.sprintf "      \"per_item_speedup_j4\": %.2f,\n" per_item_speedup);
   Buffer.add_string buf
     (Printf.sprintf "      \"shared_speedup_j4\": %.2f,\n" shared_speedup);
   Buffer.add_string buf
@@ -958,9 +958,8 @@ let run_json path =
     fp_hashed_ns fp_marshal_ns
     (fp_marshal_ns /. fp_hashed_ns);
   Printf.printf
-    "frontier: stealing j4 %.2fx, stealing+shared-visited j4 %.2fx vs \
-     cursor j1\n"
-    stealing_speedup shared_speedup;
+    "frontier: per-item j4 %.2fx, shared-visited j4 %.2fx vs cursor j1\n"
+    per_item_speedup shared_speedup;
   Printf.printf
     "frontier: swarm+shared-visited j4 %.2fx wall vs sequential cursor j1 \
      (%.2fx states/sec)\n"

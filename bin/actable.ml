@@ -749,30 +749,49 @@ let expect_arg =
         `None
     & info [ "expect" ] ~docv:"WHAT" ~doc)
 
+(* An integer flag confined to [lo..hi], refused at parse time outside
+   it: a budget that is zero, negative or overflows its tick conversion
+   would otherwise still print a verdict over a mangled space. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k < lo -> Error (`Msg (Printf.sprintf "%d is below %d" k lo))
+    | Some k when k > hi ->
+        Error (`Msg (Printf.sprintf "%d is out of range (at most %d)" k hi))
+    | Some k -> Ok k
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let budgets_term ~default_states =
   let depth =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_in 1)) None
       & info [ "depth" ] ~docv:"D" ~doc:"Schedule-step depth bound per path.")
   in
   let states =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_in 1)) None
       & info [ "max-states" ] ~docv:"K"
           ~doc:
             (Printf.sprintf
-               "State-fingerprint budget per frontier item (default %d)."
+               "State-fingerprint budget (default %d): per frontier item in \
+                the default per-item mode; under --shared-visited or \
+                --swarm, per vote assignment's shared visited table."
                default_states))
   in
   let horizon =
+    (* the horizon is kept in ticks: [h * u] must not overflow *)
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_in ~hi:(max_int / u) 0)) None
       & info [ "horizon" ] ~docv:"T"
           ~doc:"Timer horizon in units of U (default 12).")
   in
   let late =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_in 0)) None
       & info [ "max-late" ] ~docv:"K"
           ~doc:
             "Network classes: at most K commit-layer messages may miss \
@@ -832,18 +851,6 @@ let symmetry_arg =
     & opt (enum [ ("on", true); ("off", false) ]) Mc_limits.default_symmetry
     & info [ "symmetry" ] ~docv:"on|off" ~doc)
 
-let swarm_open_depth_arg =
-  let doc =
-    "Swarm mode: how many tree levels a walker explores through \
-     already-claimed states before cutting (default 6, clamped to \
-     0..32). Deeper open levels duplicate more work near the root but \
-     seed walkers with more diverse subtrees."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "swarm-open-depth" ] ~docv:"D" ~doc)
-
 let shared_visited_arg =
   let doc =
     "Dedup states globally per vote-set group (a digest-range-sharded \
@@ -859,7 +866,7 @@ let swarm_arg =
   let doc =
     "Explore with independent randomized-order DFS walks, one per domain, \
      coupled only through a shared visited table (implies \
-     --shared-visited): no frontier handoff, no steal traffic. The mode \
+     --shared-visited): no frontier handoff. The mode \
      that actually scales with domains; counters are jobs-dependent like \
      any shared-table mode, verdicts are unaffected. Without this flag \
      (or --no-swarm) swarm turns on automatically when --shared-visited \
@@ -875,16 +882,6 @@ let no_swarm_arg =
   Arg.(value & flag & info [ "no-swarm" ] ~doc)
 
 let mc_cmd =
-  let no_stealing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-stealing" ]
-          ~doc:
-            "Schedule frontier items with the legacy shared atomic cursor \
-             instead of per-domain work-stealing deques. Counters are \
-             identical either way in per-item mode; this is the control \
-             knob the scheduling benchmarks flip.")
-  in
   let no_naive_arg =
     Arg.(
       value & flag
@@ -903,9 +900,8 @@ let mc_cmd =
              the wall time of the exploration) and the peak visited-table \
              occupancy of any frontier item.")
   in
-  let action protocol n f klass expect budgets fp pool symmetry
-      swarm_open_depth stats consensus vote0 no_naive msc jobs shared
-      no_stealing swarm no_swarm =
+  let action protocol n f klass expect budgets fp pool symmetry stats
+      consensus vote0 no_naive msc jobs shared swarm no_swarm =
     check_system "mc" ~n ~f vote0;
     let vote_sets =
       match vote0 with
@@ -926,10 +922,9 @@ let mc_cmd =
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry
-        ?swarm_open_depth ?jobs ~naive:(not no_naive) ~visited
-        ~stealing:(not no_stealing) ?swarm:swarm_opt ~protocol ~n ~f ~klass
-        ()
+      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry ?jobs
+        ~naive:(not no_naive) ~visited ?swarm:swarm_opt ~protocol ~n ~f
+        ~klass ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let gc1 = Gc.quick_stat () in
@@ -1012,10 +1007,9 @@ let mc_cmd =
       const action $ protocol_arg $ mc_n_arg $ mc_f_arg $ class_arg
       $ expect_arg
       $ budgets_term ~default_states:400_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ swarm_open_depth_arg
-      $ stats_arg $ consensus_arg $ vote0_arg $ no_naive_arg $ msc_arg
-      $ jobs_arg $ shared_visited_arg $ no_stealing_arg $ swarm_arg
-      $ no_swarm_arg)
+      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ stats_arg $ consensus_arg
+      $ vote0_arg $ no_naive_arg $ msc_arg $ jobs_arg $ shared_visited_arg
+      $ swarm_arg $ no_swarm_arg)
   in
   Cmd.v
     (Cmd.info "mc"

@@ -97,9 +97,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            only: the marshal backend hashes raw bytes in which pids
            escape the renaming, so it always runs with the trivial
            group. *)
-    open_depth : int;
-        (* swarm mode: tree levels over which walkers descend through
-           already-claimed states (see [dfs_dpor]'s [?open_depth]) *)
   }
 
   (* ---- pending events -------------------------------------------- *)
@@ -1903,22 +1900,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             candidates and orbit-duplicate frontier items. Verdicts are
             unaffected; the states/transitions/schedules counters shrink
             by the orbit collapse. Ignored (off) under [Fp_marshal]. *)
-    swarm_open_depth : int option;
-        (** tree levels a swarm walker explores through already-claimed
-            states before the visited cut engages ([None]:
-            {!default_swarm_open_depth}; clamped by
-            {!clamp_open_depth}) *)
     jobs : int option;
     naive : bool;  (** also compute the naive schedule count (2nd pass) *)
     visited : Mc_limits.visited_mode;
-    stealing : bool;
-        (** schedule frontier items over work-stealing deques instead of
-            the shared cursor; per-item counters are identical either
-            way (stealing without [split] never decomposes an item) *)
     swarm : bool option;
         (** [Some true]: explore with independent randomized-order DFS
             walks, one per domain, coupled only through a shared visited
-            table (no frontier handoff, no steal traffic); implies the
+            table (no frontier handoff); implies the
             shared table whatever [visited] says. [Some false]: never.
             [None] (auto): swarm iff [visited = Shared] and the
             effective job count is at least {!swarm_auto_jobs} — at that
@@ -1942,8 +1930,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   type item_result = {
     ir_counters : Mc_limits.counters;
     ir_violation : (Mc_replay.property * string * step list) option;
-    ir_naive : float;
-    ir_naive_partial : bool;
   }
 
   (* A unit of frontier work: a schedule prefix to explore under some
@@ -1977,12 +1963,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      root has a single [S_proposals] child in the crash-free classes)
      and diverge into disjoint deep subtrees; shallow enough that the
      duplicated transitions stay a small fraction of the space. *)
-  let default_swarm_open_depth = 6
-
-  (* Useful open depths end well before the frontier/split machinery's
-     own depth bounds; past 32 the duplicated shallow transitions could
-     only explode (branching^depth), so the CLI knob is clamped there. *)
-  let clamp_open_depth d = max 0 (min d 32)
+  let swarm_open_depth = 6
 
   let explore_item wi =
     let counters = Mc_limits.fresh_counters () in
@@ -2005,52 +1986,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                let rng = Rng.create seed in
                dfs_dpor
                  ~order:(fun cands -> Rng.shuffle rng cands)
-                 ~open_depth:wi.wi_cfg.open_depth ctx counters vt)
+                 ~open_depth:swarm_open_depth ctx counters vt)
      with
     | Found (prop, detail, sub) ->
         violation := Some (prop, detail, wi.wi_prefix @ sub)
     | Out_of_states -> counters.Mc_limits.budget_hit <- true);
-    { ir_counters = counters; ir_violation = !violation; ir_naive = 0.0;
-      ir_naive_partial = false }
-
-  (* On-demand re-splitting for the work-stealing scheduler: a claimed
-     item whose prefix is still shallow is replaced by one child item
-     per enabled candidate (the same decomposition [frontier] applies
-     statically). Splitting forgets the sleep-set context accumulated
-     between siblings, so the children cover a superset of the parent's
-     schedules — sound, merely less pruned; that (and shared-table
-     dedup races) is why split-mode counters are jobs-dependent, and
-     why the deterministic default never splits. *)
-  let max_split_depth = 12
-
-  let split_item wi =
-    if List.length wi.wi_prefix >= max_split_depth then None
-    else
-      let ctx = create_ctx wi.wi_cfg in
-      match replay_prefix ctx wi.wi_prefix with
-      | Some _ -> None (* prefix already violates: run it, don't split *)
-      | None -> (
-          match enumerate ctx with
-          | [] | [ _ ] -> None
-          | cands ->
-              Some
-                (List.map
-                   (fun c -> { wi with wi_prefix = wi.wi_prefix @ [ c ] })
-                   cands))
-
-  (* Fold the results of one origin item's pieces. Counter addition
-     commutes (see [Mc_limits.add_counters]); the surviving violation is
-     whichever piece's the fold meets first, which — like any parallel
-     witness search — depends on scheduling. *)
-  let merge_ir a b =
-    Mc_limits.add_counters a.ir_counters b.ir_counters;
-    {
-      ir_counters = a.ir_counters;
-      ir_violation =
-        (match a.ir_violation with Some _ -> a.ir_violation | None -> b.ir_violation);
-      ir_naive = a.ir_naive +. b.ir_naive;
-      ir_naive_partial = a.ir_naive_partial || b.ir_naive_partial;
-    }
+    { ir_counters = counters; ir_violation = !violation }
 
   let count_item wi =
     try
@@ -2096,10 +2037,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         fp = p.fp;
         pool = p.pool;
         symmetry = p.symmetry;
-        open_depth =
-          (match p.swarm_open_depth with
-          | Some d -> clamp_open_depth d
-          | None -> default_swarm_open_depth);
       }
     in
     let tables = ref [] in
@@ -2151,20 +2088,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               (dedup_frontier cfg (frontier cfg)))
           p.vote_sets
     in
-    let results =
-      if swarm_on then
-        (* walkers are independent and equally "fat": the shared cursor
-           maps one walker to one domain with no handoff at all *)
-        Batch.run ?jobs:p.jobs explore_item items
-      else
-        match (p.visited, p.stealing) with
-        | Mc_limits.Shared, true ->
-            Batch.run_stealing ?jobs:p.jobs ~split:split_item ~merge:merge_ir
-              explore_item items
-        | Mc_limits.Per_item, true ->
-            Batch.run_stealing ?jobs:p.jobs ~merge:merge_ir explore_item items
-        | _, false -> Batch.run ?jobs:p.jobs explore_item items
-    in
+    (* one shared cursor for every mode: swarm walkers are equally
+       "fat" and map one to a domain; a frontier item is one
+       [explore_item] call against its own table in per-item mode, so
+       which domain claims it cannot move a counter *)
+    let results = Batch.run ?jobs:p.jobs explore_item items in
     let counters = Mc_limits.fresh_counters () in
     List.iter (fun r -> Mc_limits.add_counters counters r.ir_counters) results;
     let violation =
@@ -2244,7 +2172,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         fp = Mc_limits.default_fp;
         pool = true;
         symmetry = false;
-        open_depth = default_swarm_open_depth;
       }
     in
     let ctx = create_ctx cfg in

@@ -48,9 +48,9 @@ type outcome = {
 let clean o = o.violation = None
 
 let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
-    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?swarm_open_depth
-    ?jobs ?(naive = false) ?(visited = Mc_limits.default_visited)
-    ?(stealing = true) ?swarm ~protocol ~n ~f ~klass () =
+    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?jobs
+    ?(naive = false) ?(visited = Mc_limits.default_visited) ?swarm ~protocol
+    ~n ~f ~klass () =
   let reg = Registry.find_exn protocol in
   let module P = (val reg.Registry.proto) in
   let module C =
@@ -87,11 +87,9 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
         fp;
         pool;
         symmetry;
-        swarm_open_depth;
         jobs;
         naive;
         visited;
-        stealing;
         swarm;
       }
   in
@@ -166,7 +164,6 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
       fp = Mc_limits.default_fp;
       pool = true;
       symmetry;
-      open_depth = E.default_swarm_open_depth;
     }
   in
   let ctx = E.create_ctx cfg in

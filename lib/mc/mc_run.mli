@@ -45,11 +45,9 @@ val run :
   ?fp:Mc_limits.fp_backend ->
   ?pool:bool ->
   ?symmetry:bool ->
-  ?swarm_open_depth:int ->
   ?jobs:int ->
   ?naive:bool ->
   ?visited:Mc_limits.visited_mode ->
-  ?stealing:bool ->
   ?swarm:bool ->
   protocol:string ->
   n:int ->
@@ -58,20 +56,21 @@ val run :
   unit ->
   outcome
 (** Explore every schedule of the bounded configuration (one exploration
-    per vote vector, parallel over domains). In the default
-    [~visited:Per_item] mode the counters are deterministic and
-    independent of [jobs] (and of [stealing], which only changes how
-    frontier items land on domains); [~visited:Shared] dedups states
-    globally per vote-set group — fewer states explored, but counters
-    become jobs-dependent. [~stealing:false] falls back to the shared
-    atomic cursor.
+    per vote vector, parallel over domains). Every mode hands its work
+    items — frontier prefixes or swarm walkers — to {!Batch.run}'s
+    shared cursor. In the default [~visited:Per_item] mode the counters
+    are deterministic and independent of [jobs]; [~visited:Shared]
+    dedups states globally per vote-set group — fewer states explored,
+    but counters become jobs-dependent.
 
     [~swarm:true] replaces the frontier decomposition with independent
     randomized-order DFS walks, one per domain, coupled only through the
-    shared visited table (implied; no frontier handoff or steal
-    traffic). Walk orders are seeded deterministically from [Rng];
-    counters remain jobs- and timing-dependent like any shared-table
-    mode, verdicts are unaffected. [~swarm:false] never swarms; omitting
+    shared visited table (implied; no frontier handoff). Each walker
+    descends through already-claimed states for its first six tree
+    levels before the visited cut engages. Walk orders are seeded
+    deterministically from [Rng]; counters remain jobs- and
+    timing-dependent like any shared-table mode, verdicts are
+    unaffected. [~swarm:false] never swarms; omitting
     the argument picks swarm automatically when [~visited:Shared] runs
     at four or more effective jobs (the scale where the walks win — see
     DESIGN.md).
@@ -88,11 +87,6 @@ val run :
     image below a kept one); the counters shrink by the orbit collapse.
     Forced off under [~fp:Fp_marshal], whose raw-byte hashing cannot
     honor a renaming.
-
-    [~swarm_open_depth] overrides how many tree levels a swarm walker
-    explores through already-claimed states (default
-    [Mc_explore.Make().default_swarm_open_depth = 6]; clamped to
-    [0..32]). Only swarm-mode walkers read it.
     @raise Not_found on unknown protocol names. *)
 
 type canonical = {

@@ -11,7 +11,7 @@
    Nested fan-outs must not oversubscribe: a worker domain that itself
    calls [run] (a parallel consumer built from parallel pieces) would
    spawn jobs^2 domains. Every worker marks its domain via a DLS flag,
-   and both runners fall back to the sequential path when invoked from a
+   and [run] falls back to the sequential path when invoked from a
    marked domain — the outer fan-out already owns the cores. *)
 
 let env_jobs () =
@@ -98,226 +98,4 @@ let run ?jobs f items =
         |> List.map (function
              | Some (Ok v) -> v
              | Some (Error _) | None -> assert false (* no error: all ran *))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The work-stealing runner.
-
-   For fan-outs whose items have heavily skewed costs (the model
-   checker's schedule-prefix subtrees), a shared cursor still pins one
-   fat item on one domain. Here every domain owns a deque of
-   (origin, payload) units; it pops its own newest end (depth-first on
-   the pieces it created), and an idle domain steals from the oldest end
-   of a victim — and takes the victim's whole oldest *half*, not one
-   unit: steal granularity that halves the victim amortizes the lock
-   traffic over log(n) steals per deque instead of one steal per unit,
-   which is what made fine-grained stealing a net loss on few cores.
-   When the fleet is starving (some worker found nothing to pop or
-   steal) a worker claiming a unit first offers it to [split]: the
-   returned pieces replace the unit, land on the claimant's deque, and
-   are immediately stealable — items re-split on demand, exactly when
-   the parallelism needs it.
-
-   An idle worker backs off per-domain and exponentially: a short
-   [cpu_relax] spin that doubles per failed sweep, escalating to timed
-   sleeps capped at 1ms. Each worker keeps its own attempt counter (no
-   cross-domain reads on the idle path), so on machines with fewer cores
-   than domains a thief cannot starve the very victim it waits on, and
-   on big machines a momentarily idle worker still reacts within
-   microseconds.
-
-   Results are accumulated per originating item under a mutex with
-   [merge], so [merge] must be commutative and associative; the piece
-   structure (and with it the merge order) depends on timing. Callers
-   that need bit-deterministic per-item results simply pass no [split]:
-   each item then maps to exactly one [f] application and [merge] is
-   never called. *)
-
-type 'a deque = {
-  mu : Mutex.t;
-  mutable units : (int * 'a) list;  (* head = owner's (newest) end *)
-}
-
-(* Exponential per-domain backoff. Attempts 1..6 spin 2^attempt pause
-   instructions; later attempts sleep, doubling from 50us to a 1ms cap.
-   The counter is per-worker state, reset on every successful claim. *)
-let backoff attempt =
-  if attempt <= 6 then
-    for _ = 1 to 1 lsl attempt do
-      Domain.cpu_relax ()
-    done
-  else
-    Unix.sleepf (min 0.001 (0.00005 *. float_of_int (1 lsl (min (attempt - 7) 5))))
-
-let run_stealing ?jobs ?split ~merge f items =
-  let work = Array.of_list items in
-  let n = Array.length work in
-  let jobs =
-    min (match jobs with Some j -> max 1 j | None -> default_jobs ()) n
-  in
-  if jobs <= 1 || n <= 1 || Domain.DLS.get inside_worker then List.map f items
-  else begin
-    let deques =
-      Array.init jobs (fun _ -> { mu = Mutex.create (); units = [] })
-    in
-    (* round-robin seeding, index order preserved within each deque *)
-    for i = n - 1 downto 0 do
-      let d = deques.(i mod jobs) in
-      d.units <- (i, work.(i)) :: d.units
-    done;
-    let remaining = Atomic.make n in
-    let starving = Atomic.make 0 in
-    let poisoned = Atomic.make false in
-    let state_mu = Mutex.create () in
-    let results = Array.make n None in
-    let error = ref None in
-    let record_ok origin r =
-      Mutex.lock state_mu;
-      results.(origin) <-
-        (match results.(origin) with
-        | None -> Some r
-        | Some prev -> Some (merge prev r));
-      Mutex.unlock state_mu
-    in
-    let record_error origin e bt =
-      Mutex.lock state_mu;
-      (match !error with
-      | Some (o, _, _) when o <= origin -> ()
-      | _ -> error := Some (origin, e, bt));
-      Mutex.unlock state_mu;
-      Atomic.set poisoned true
-    in
-    let pop_own d =
-      Mutex.lock d.mu;
-      let u =
-        match d.units with
-        | [] -> None
-        | x :: tl ->
-            d.units <- tl;
-            Some x
-      in
-      Mutex.unlock d.mu;
-      u
-    in
-    (* Take the victim's oldest half (at least one unit), oldest first.
-       The shallowest units are the fattest, and batching them means one
-       lock acquisition moves half the victim's backlog. *)
-    let steal d =
-      Mutex.lock d.mu;
-      let batch =
-        match d.units with
-        | [] -> []
-        | units ->
-            let len = List.length units in
-            let keep = len / 2 in
-            let rec split_at k acc = function
-              | rest when k = 0 -> (List.rev acc, rest)
-              | x :: tl -> split_at (k - 1) (x :: acc) tl
-              | [] -> (List.rev acc, [])
-            in
-            let kept, oldest = split_at keep [] units in
-            d.units <- kept;
-            List.rev oldest (* oldest unit first *)
-      in
-      Mutex.unlock d.mu;
-      batch
-    in
-    let push_pieces d origin pieces =
-      Mutex.lock d.mu;
-      d.units <- List.map (fun p -> (origin, p)) pieces @ d.units;
-      Mutex.unlock d.mu
-    in
-    let push_units d us =
-      Mutex.lock d.mu;
-      d.units <- us @ d.units;
-      Mutex.unlock d.mu
-    in
-    let worker w () =
-      let my = deques.(w) in
-      let flagged = ref false in
-      let stop_starving () =
-        if !flagged then begin
-          Atomic.decr starving;
-          flagged := false
-        end
-      in
-      let start_starving () =
-        if not !flagged then begin
-          Atomic.incr starving;
-          flagged := true
-        end
-      in
-      let next_unit () =
-        match pop_own my with
-        | Some u -> Some u
-        | None ->
-            let rec sweep k =
-              if k > jobs - 2 then None
-              else
-                match steal deques.((w + 1 + k) mod jobs) with
-                | first :: rest ->
-                    (* run the fattest stolen unit; bank the others *)
-                    if rest <> [] then push_units my rest;
-                    Some first
-                | [] -> sweep (k + 1)
-            in
-            sweep 0
-      in
-      let run_unit origin payload =
-        (match f payload with
-        | r -> record_ok origin r
-        | exception e -> record_error origin e (Printexc.get_raw_backtrace ()));
-        Atomic.decr remaining
-      in
-      let idle = ref 0 in
-      let rec loop () =
-        if not (Atomic.get poisoned) then
-          match next_unit () with
-          | Some (origin, payload) ->
-              stop_starving ();
-              idle := 0;
-              (match
-                 if Atomic.get starving > 0 then split else None
-               with
-              | None -> run_unit origin payload
-              | Some sp -> (
-                  match sp payload with
-                  | Some (_ :: _ as pieces) ->
-                      (* the unit is replaced by its pieces *)
-                      ignore
-                        (Atomic.fetch_and_add remaining
-                           (List.length pieces - 1));
-                      push_pieces my origin pieces
-                  | Some [] | None -> run_unit origin payload
-                  | exception e ->
-                      record_error origin e (Printexc.get_raw_backtrace ());
-                      Atomic.decr remaining));
-              loop ()
-          | None ->
-              if Atomic.get remaining > 0 then begin
-                start_starving ();
-                incr idle;
-                backoff !idle;
-                loop ()
-              end
-      in
-      loop ();
-      stop_starving ()
-    in
-    let spawned i () =
-      Domain.DLS.set inside_worker true;
-      worker i ()
-    in
-    let helpers =
-      List.init (jobs - 1) (fun i -> Domain.spawn (spawned (i + 1)))
-    in
-    as_worker (worker 0);
-    List.iter Domain.join helpers;
-    match !error with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.to_list results
-        |> List.map (function
-             | Some r -> r
-             | None -> assert false (* remaining = 0: every origin merged *))
   end

@@ -14,9 +14,9 @@
     escape hatch micro-benchmarks use so that they measure single-run
     cost, not scheduling.
 
-    Both runners refuse to nest: invoked from inside one of their own
-    worker domains (a parallel consumer built from parallel pieces) they
-    run sequentially instead of spawning [jobs^2] domains — the outer
+    [run] refuses to nest: invoked from inside one of its own worker
+    domains (a parallel consumer built from parallel pieces) it runs
+    sequentially instead of spawning [jobs^2] domains — the outer
     fan-out already owns the cores. *)
 
 val default_jobs : unit -> int
@@ -38,46 +38,5 @@ val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     exception the sequential path would surface first, because items are
     claimed in index order. Equivalent to [List.map f items] when
     [jobs <= 1], when the list has fewer than two items, or when called
-    from inside a worker domain of either runner (no nested spawning). *)
+    from inside a worker domain (no nested spawning). *)
 
-val run_stealing :
-  ?jobs:int ->
-  ?split:('a -> 'a list option) ->
-  merge:('b -> 'b -> 'b) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** [run_stealing ?jobs ?split ~merge f items] is [run] for batches with
-    heavily skewed per-item costs: every domain owns a deque of work
-    units, pops its own newest unit, and — when out of work — steals the
-    {e oldest half} of another domain's deque (the shallowest, typically
-    fattest units), so one fat item no longer pins a domain while the
-    rest idle, and the steal traffic amortizes to O(log n) lock
-    acquisitions per deque. An idle worker backs off exponentially and
-    per-domain ([Domain.cpu_relax] spins doubling into timed sleeps
-    capped at 1ms), so thieves cannot starve their victims on machines
-    with fewer cores than domains.
-
-    When some domain is starving, a worker about to execute a unit first
-    offers it to [split]; [Some pieces] (non-empty) replaces the unit
-    with [pieces], which land on the claimant's deque and become
-    stealable immediately — items re-split on demand, exactly when the
-    fleet needs parallelism. [None] (or [Some []]) means "not worth
-    splitting; execute as is". With [split] absent, every item maps to
-    exactly one [f] application.
-
-    All results originating from the same input item are folded with
-    [merge]; the returned list has one entry per input item, in input
-    order. The piece structure and merge order depend on runtime timing,
-    so [merge] must be commutative and associative for the per-item
-    results to be reproducible ([Mc_limits.add_counters] qualifies), and
-    even then any result component sensitive to the {e decomposition}
-    (e.g. dedup counts against per-piece tables) is only deterministic
-    when [split] is absent.
-
-    On the first exception the scheduler is poisoned (no further units
-    start) and the exception whose originating item has the smallest
-    index is re-raised with its backtrace. Equivalent to
-    [List.map f items] when [jobs <= 1], when the list has fewer than
-    two items, or when called from inside a worker domain ([split] is
-    never consulted on those paths). *)

@@ -32,7 +32,7 @@ def need(cond, what):
         errors.append(what)
 
 
-need(doc.get("schema") == "actable-bench/9", "schema actable-bench/9")
+need(doc.get("schema") == "actable-bench/10", "schema actable-bench/10")
 need(isinstance(doc.get("pairs"), list) and doc["pairs"], "non-empty pairs")
 
 for section in ("nice_run_seconds", "table_seconds"):
@@ -68,9 +68,9 @@ need(h.get("schedules") == m.get("schedules"), "backends agree on schedules")
 frontier = mc.get("frontier", {})
 FRONTIER_CONFIGS = (
     "per_item_cursor_j1",
-    "per_item_stealing_j4",
-    "shared_stealing_j1",
-    "shared_stealing_j4",
+    "per_item_cursor_j4",
+    "shared_cursor_j1",
+    "shared_cursor_j4",
     "swarm_shared_j1",
     "swarm_shared_j4",
 )
@@ -79,24 +79,24 @@ for cfg in FRONTIER_CONFIGS:
     for k in ("seconds", "states", "schedules", "states_per_sec"):
         need(isinstance(row.get(k), (int, float)) and row[k] > 0,
              f"mc.frontier.{cfg}.{k} > 0")
-for k in ("stealing_speedup_j4", "shared_speedup_j4", "swarm_speedup_j4",
+for k in ("per_item_speedup_j4", "shared_speedup_j4", "swarm_speedup_j4",
           "swarm_states_per_sec_ratio_j4"):
     need(isinstance(frontier.get(k), (int, float)) and frontier[k] > 0,
          f"mc.frontier.{k} > 0")
 
-# per-item counters are deterministic: the stealing scheduler at jobs=4
-# must report exactly what the cursor baseline reports at jobs=1
+# per-item counters are deterministic: the cursor at jobs=4 must report
+# exactly what it reports at jobs=1
 cursor = frontier.get("per_item_cursor_j1", {})
-stealing = frontier.get("per_item_stealing_j4", {})
-need(cursor.get("states") == stealing.get("states"),
-     "per-item states identical across cursor/stealing")
-need(cursor.get("schedules") == stealing.get("schedules"),
-     "per-item schedules identical across cursor/stealing")
+cursor_j4 = frontier.get("per_item_cursor_j4", {})
+need(cursor.get("states") == cursor_j4.get("states"),
+     "per-item states identical across jobs 1/4")
+need(cursor.get("schedules") == cursor_j4.get("schedules"),
+     "per-item schedules identical across jobs 1/4")
 
 # global dedup can only shrink the explored state count (swarm walkers
 # re-expand a bounded shallow prefix, but the shared table still keeps
 # them inside the per-item envelope)
-for cfg in ("shared_stealing_j1", "shared_stealing_j4", "swarm_shared_j1",
+for cfg in ("shared_cursor_j1", "shared_cursor_j4", "swarm_shared_j1",
             "swarm_shared_j4"):
     shared_states = frontier.get(cfg, {}).get("states")
     if isinstance(shared_states, (int, float)) and \

@@ -9,8 +9,9 @@ absolute timings on shared runners are noisy — so every failure mode
 (missing file, unparsable JSON, unknown schema) degrades to a note and
 exit 0; only being invoked with the wrong number of arguments is an
 error. Old reports with any actable-bench/* schema are accepted: rows
-added by later schemas (the swarm arms of actable-bench/4) print as
-n/a when the old report predates them.
+added or renamed by later schemas (the swarm arms of actable-bench/4,
+the cursor arms of actable-bench/10) print as n/a when the old report
+predates them.
 """
 import json
 import sys
@@ -50,8 +51,8 @@ def frontier_sps(doc, cfg):
 parts = []
 for cfg, label in (
     ("per_item_cursor_j1", "cursor-j1"),
-    ("per_item_stealing_j4", "steal-j4"),
-    ("shared_stealing_j4", "shared-j4"),
+    ("per_item_cursor_j4", "cursor-j4"),
+    ("shared_cursor_j4", "shared-j4"),
     ("swarm_shared_j4", "swarm-j4"),
 ):
     o, n = frontier_sps(old, cfg), frontier_sps(new, cfg)

@@ -130,97 +130,6 @@ let test_nested_run_stays_inline () =
   check tint "outer results complete" (List.length outer)
     (List.length results)
 
-let test_nested_stealing_stays_inline () =
-  let results =
-    Batch.run_stealing ~jobs:3 ~merge:( + )
-      (fun i ->
-        let here = (Domain.self () :> int) in
-        let inner =
-          Batch.run_stealing ~jobs:4 ~merge:( + )
-            (fun _ -> if (Domain.self () :> int) = here then 0 else 1)
-            (List.init 8 Fun.id)
-        in
-        ignore (List.fold_left ( + ) 0 inner);
-        if List.for_all (fun x -> x = 0) inner then i else -1000)
-      (List.init 6 Fun.id)
-  in
-  check (Alcotest.list tint) "nested stealing stayed inline"
-    (List.init 6 Fun.id) results
-
-(* ---- the work-stealing runner ------------------------------------- *)
-
-let merge_add = ( + )
-
-let test_stealing_order_preserved () =
-  let items = List.init 50 Fun.id in
-  check (Alcotest.list tint) "results in input order"
-    (List.map (fun x -> x * x) items)
-    (Batch.run_stealing ~jobs:3 ~merge:merge_add (fun x -> x * x) items)
-
-let test_stealing_no_split_equals_run () =
-  let items = List.init 30 Fun.id in
-  check (Alcotest.list tint) "run_stealing without split = run"
-    (Batch.run ~jobs:4 succ items)
-    (Batch.run_stealing ~jobs:4 ~merge:merge_add succ items)
-
-(* Splitting and merging: each item is a list of ints; split breaks it
-   into singletons, f sums a piece, merge adds the partial sums — so
-   whatever decomposition the scheduler picks, every origin's result
-   must equal the plain sum of its list. *)
-let test_stealing_split_merge_sums () =
-  let items = List.init 16 (fun i -> List.init (i + 13) (fun j -> j + i)) in
-  let split = function
-    | [] | [ _ ] -> None
-    | xs -> Some (List.map (fun x -> [ x ]) xs)
-  in
-  let f xs =
-    (* make items slow enough that workers actually starve and split *)
-    if List.length xs > 1 then Unix.sleepf 0.001;
-    List.fold_left ( + ) 0 xs
-  in
-  check (Alcotest.list tint) "per-origin sums survive any decomposition"
-    (List.map (List.fold_left ( + ) 0) items)
-    (Batch.run_stealing ~jobs:4 ~split ~merge:merge_add f items)
-
-(* Skewed load with more domains than this machine has cores: one item
-   dwarfs the rest, so most workers spend the run starved — exactly the
-   regime the idle backoff (spin, then escalate to short sleeps) and the
-   steal-half granularity exist for. Passing means no livelock and
-   correct per-origin sums whatever got stolen from whom. *)
-let test_stealing_skewed_backoff () =
-  let items =
-    List.init 24 (fun i ->
-        if i = 0 then List.init 64 Fun.id else [ i; i + 1 ])
-  in
-  let split = function
-    | [] | [ _ ] -> None
-    | xs -> Some (List.map (fun x -> [ x ]) xs)
-  in
-  let f xs =
-    if List.length xs > 1 then Unix.sleepf 0.0005;
-    List.fold_left ( + ) 0 xs
-  in
-  check (Alcotest.list tint) "per-origin sums survive the skew"
-    (List.map (List.fold_left ( + ) 0) items)
-    (Batch.run_stealing ~jobs:8 ~split ~merge:merge_add f items)
-
-let test_stealing_exception_earliest_origin () =
-  Alcotest.check_raises "smallest-origin exception re-raised"
-    (Failure "steal:1") (fun () ->
-      ignore
-        (Batch.run_stealing ~jobs:2 ~merge:merge_add
-           (fun x ->
-             if x >= 1 then failwith (Printf.sprintf "steal:%d" x) else x)
-           [ 0; 1 ]))
-
-let test_stealing_edge_cases () =
-  check (Alcotest.list tint) "empty input" []
-    (Batch.run_stealing ~jobs:4 ~merge:merge_add succ []);
-  check (Alcotest.list tint) "singleton" [ 8 ]
-    (Batch.run_stealing ~jobs:4 ~merge:merge_add succ [ 7 ]);
-  check (Alcotest.list tint) "jobs:1 equals List.map" [ 2; 3; 4 ]
-    (Batch.run_stealing ~jobs:1 ~merge:merge_add succ [ 1; 2; 3 ])
-
 (* Determinism of the reworked consumers: the robustness battery run
    through 4 domains must agree element-for-element with the sequential
    evaluation, traces included. *)
@@ -267,19 +176,6 @@ let () =
         [
           quick "ACTABLE_JOBS clamps the default" test_env_jobs_clamp;
           quick "nested run stays inline" test_nested_run_stays_inline;
-          quick "nested stealing stays inline"
-            test_nested_stealing_stays_inline;
-        ] );
-      ( "stealing",
-        [
-          quick "order preserved" test_stealing_order_preserved;
-          quick "no split = run" test_stealing_no_split_equals_run;
-          quick "split/merge sums" test_stealing_split_merge_sums;
-          quick "skewed load, oversubscribed backoff"
-            test_stealing_skewed_backoff;
-          quick "earliest-origin exception"
-            test_stealing_exception_earliest_origin;
-          quick "edge cases" test_stealing_edge_cases;
         ] );
       ( "determinism",
         [

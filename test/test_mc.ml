@@ -151,7 +151,6 @@ struct
       (* the suite exercises [fingerprint_hashed] directly, so the
          canonicalization layer stays out of the way *)
       symmetry = false;
-      open_depth = E.default_swarm_open_depth;
     }
 
   let all_yes = [| Vote.yes; Vote.yes; Vote.yes |]
@@ -341,8 +340,8 @@ let test_backends_agree protocol () =
 
 (* ------------------------------------------------------------------ *)
 (* Frontier scheduling: the structural-progress fix, mctable
-   byte-determinism under the stealing scheduler, and the shared
-   visited table's counter contract. *)
+   byte-determinism across job counts, and the shared visited table's
+   counter contract. *)
 
 (* Regression for the frontier fixed-point bug: the root expansion
    [[]] -> [[S_proposals]] is a 1 -> 1 round, which the old
@@ -360,7 +359,6 @@ let test_frontier_nice_regression () =
       fp = Mc_limits.Fp_hashed;
       pool = true;
       symmetry = false;
-      open_depth = Fp_inbac.E.default_swarm_open_depth;
     }
   in
   let items = Fp_inbac.E.frontier cfg in
@@ -371,9 +369,8 @@ let test_frontier_nice_regression () =
     (List.length items > 1)
 
 (* The deterministic contract, end to end: the rendered mctable — the
-   user-facing artifact — must be byte-identical across job counts under
-   the work-stealing scheduler. Restricted to two protocols and the
-   crash class to stay test-sized. *)
+   user-facing artifact — must be byte-identical across job counts.
+   Restricted to two protocols and the crash class to stay test-sized. *)
 let test_mctable_bytes_across_jobs () =
   let render jobs =
     Table_mc.render ~protocols:[ "inbac"; "2pc" ] ~classes:[ Mc_run.Crash ]
@@ -385,7 +382,8 @@ let test_mctable_bytes_across_jobs () =
 
 (* Global dedup can only shrink the explored space: the shared table
    must never report MORE states than per-item mode, and must reach the
-   same (clean, exhausted) verdict on the pinned config. *)
+   same (clean, exhausted) verdict on the pinned config. Jobs 2 runs the
+   shared frontier over two domains; jobs 4 resolves to swarm walks. *)
 let test_shared_visited_fewer_states () =
   let at visited jobs =
     Mc_run.run ~visited ~jobs ~protocol:"inbac" ~n:3 ~f:1
@@ -406,22 +404,21 @@ let test_shared_visited_fewer_states () =
         true
         (shared.Mc_run.counters.Mc_limits.states
         <= per_item.Mc_run.counters.Mc_limits.states))
-    [ 1; 4 ]
+    [ 1; 2; 4 ]
 
-(* Stealing without splitting maps every frontier item to exactly one
-   exploration, so its counters must equal the legacy cursor's. *)
-let test_stealing_matches_cursor () =
-  let at stealing =
-    (Mc_run.run ~stealing ~jobs:4 ~protocol:"inbac" ~n:3 ~f:1
+(* Per-item mode maps every frontier item to exactly one exploration
+   against its own table, so which domain claims which item cannot move
+   a counter: the whole record (peak occupancy and symmetry counters
+   included) at jobs 4 must equal the sequential one. *)
+let test_per_item_counters_across_jobs () =
+  let at jobs =
+    (Mc_run.run ~jobs ~protocol:"paxos-commit" ~n:3 ~f:1
        ~klass:Mc_run.Crash ())
       .Mc_run.counters
   in
-  let a = at true and b = at false in
-  check tint "states" a.Mc_limits.states b.Mc_limits.states;
-  check tint "transitions" a.Mc_limits.transitions b.Mc_limits.transitions;
-  check tint "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
-  check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
-  check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips
+  check
+    (Alcotest.testable Mc_limits.pp_counters ( = ))
+    "full counter record" (at 1) (at 4)
 
 (* ------------------------------------------------------------------ *)
 (* Swarm mode: independent randomized-order walks, one per domain,
@@ -535,24 +532,6 @@ let test_shards_stress () =
     if Mc_shards.find_opt table (key i) = None then incr missing
   done;
   check tint "no key lost" 0 !missing
-
-(* A wildly out-of-range open-depth must clamp instead of breaking the
-   walkers, and the clamped run must agree with the default verdict. *)
-let test_open_depth_clamp () =
-  let module E = Fp_inbac.E in
-  check tint "negative clamps to 0" 0 (E.clamp_open_depth (-3));
-  check tint "huge clamps to 32" 32 (E.clamp_open_depth 1_000);
-  check tint "in-range value passes through" 6 (E.clamp_open_depth 6);
-  check tint "default is in range" E.default_swarm_open_depth
-    (E.clamp_open_depth E.default_swarm_open_depth);
-  let verdict d =
-    Mc_run.verdict_string
-      (Mc_run.run ~swarm:true ?swarm_open_depth:d ~jobs:2 ~protocol:"inbac"
-         ~n:3 ~f:1 ~klass:Mc_run.Crash ())
-  in
-  check Alcotest.string "open-depth 1000 reaches the default verdict"
-    (verdict None)
-    (verdict (Some 1_000))
 
 (* n=5-sized budgets must not preallocate the shards index space: the
    spine caps at 2^21 buckets, segments materialize on first touch, and
@@ -745,8 +724,8 @@ let () =
             test_mctable_bytes_across_jobs;
           quick "shared visited never more states"
             test_shared_visited_fewer_states;
-          quick "stealing counters = cursor counters"
-            test_stealing_matches_cursor;
+          quick "per-item counters identical across jobs 1/4"
+            test_per_item_counters_across_jobs;
         ] );
       ( "swarm",
         swarm_differential_tests
@@ -754,8 +733,6 @@ let () =
             quick "shards: 8-domain stress, size = fresh-insert sum"
               test_shards_stress;
             quick "shards: capped spine, lazy segments" test_shards_growth;
-            quick "open-depth clamps and stays verdict-neutral"
-              test_open_depth_clamp;
           ] );
       ( "symmetry",
         symmetry_differential_tests
