@@ -948,31 +948,52 @@ let mc_cmd =
             (float_of_int occ /. float_of_int (max bk 1))
       | None -> ());
       if c.Mc_limits.canon_calls > 0 then begin
-        (* ns/call of the canonicalization itself, measured on a probe
-           context (mid-exploration state, preparation outside the
-           timer): the symmetry-on sampler hashes under every group
-           renaming, the plain one hashes once *)
-        let probe symmetry =
-          Mc_run.fingerprint_sampler ~consensus ~symmetry ~protocol ~n ~f
-            ~klass ()
+        (* cost per call of the canonicalization itself, measured on a
+           probe context (mid-exploration state, preparation outside the
+           measurement): the symmetry-on sampler hashes under every
+           renaming of the group the explored vote vector leaves, the
+           plain one hashes once. A run over several vote vectors is
+           probed on the first. *)
+        let explored =
+          match vote_sets with
+          | Some sets -> sets
+          | None -> Mc_run.default_vote_sets ~n klass
         in
-        let time_ns probe =
+        let votes = List.hd explored in
+        let probe symmetry =
+          Mc_run.fingerprint_sampler ~consensus ~symmetry ~votes ~protocol ~n
+            ~f ~klass ()
+        in
+        let cost probe =
           let calls = 2_000 in
           probe Mc_limits.Fp_hashed 100 (* warm-up *);
+          let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
           probe Mc_limits.Fp_hashed calls;
-          (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int calls
+          let t1 = Unix.gettimeofday () in
+          let w1 = Gc.minor_words () in
+          ( (t1 -. t0) *. 1e9 /. float_of_int calls,
+            (w1 -. w0) /. float_of_int calls )
         in
+        let canon_ns, canon_words = cost (probe true) in
+        let plain_ns, plain_words = cost (probe false) in
         Format.printf
           "stats: symmetry orbit hits %d (%.1f%% of %d canonicalizations), \
-           twin skips %d, canonicalization %.0f ns/call (plain hash %.0f)@."
+           twin skips %d, canonicalization %.0f ns/call %.1f minor \
+           words/call (plain hash %.0f ns/call %.1f words/call)@."
           c.Mc_limits.orbit_hits
           (100.0
           *. float_of_int c.Mc_limits.orbit_hits
           /. float_of_int (max c.Mc_limits.canon_calls 1))
-          c.Mc_limits.canon_calls c.Mc_limits.twin_skips
-          (time_ns (probe true))
-          (time_ns (probe false))
+          c.Mc_limits.canon_calls c.Mc_limits.twin_skips canon_ns canon_words
+          plain_ns plain_words;
+        Format.printf "stats: canonicalization probed with votes %s%s@."
+          (String.init n (fun i -> if Vote.to_bool votes.(i) then '1' else '0'))
+          (match explored with
+          | [ _ ] -> ""
+          | _ ->
+              Printf.sprintf " (the first of %d explored vote vectors)"
+                (List.length explored))
       end;
       (* Gc.quick_stat reads the calling domain only; with --jobs 1 the
          exploration runs inline on this domain, so the deltas cover it

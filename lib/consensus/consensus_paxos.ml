@@ -239,34 +239,8 @@ let hash_state =
         | Preparing -> 1
         | Accepting -> 2
         | Learned -> 3);
-      fp h (List.length s.promises);
-      let promises =
-        if Fingerprint.perm_active h then
-          List.sort
-            (fun (p, _) (q, _) ->
-              compare
-                (Fingerprint.rename h (Pid.index p))
-                (Fingerprint.rename h (Pid.index q)))
-            s.promises
-        else s.promises
-      in
-      List.iter
-        (fun (p, acc) ->
-          Fingerprint.add_pid h (Pid.index p);
-          fp_accepted h acc)
-        promises;
-      fp h (List.length s.accepts);
-      let accepts =
-        if Fingerprint.perm_active h then
-          List.sort
-            (fun p q ->
-              compare
-                (Fingerprint.rename h (Pid.index p))
-                (Fingerprint.rename h (Pid.index q)))
-            s.accepts
-        else s.accepts
-      in
-      List.iter (fun p -> Fingerprint.add_pid h (Pid.index p)) accepts;
+      Fingerprint.add_pid_assoc h fp_accepted s.promises;
+      Fingerprint.add_pid_set h s.accepts;
       fp_ballot h s.highest_seen;
       match s.decided_value with
       | None -> fp h 0

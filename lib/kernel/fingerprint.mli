@@ -28,9 +28,11 @@ val add_string : t -> string -> unit
     The model checker hashes a state under a candidate process
     permutation by installing a renaming array and feeding the state
     through canonicalizers that route every pid-valued datum through
-    {!add_pid} (or consult {!rename} for sort keys). With no renaming
-    installed both are the identity, so the symmetry-off path feeds
-    word-for-word what it always did. {!reset} clears the renaming. *)
+    {!add_pid}, and every pid-keyed collection whose stored order is
+    path-dependent through {!add_pid_set} or {!add_pid_assoc}. With no
+    renaming installed all three feed the stored data as it is, so the
+    symmetry-off path feeds word-for-word what it always did. {!reset}
+    clears the renaming. *)
 
 val set_perm : t -> int array -> unit
 (** Install [sigma]: subsequent {!add_pid}[ h i] feeds [sigma.(i)]. The
@@ -40,12 +42,23 @@ val clear_perm : t -> unit
 
 val perm_active : t -> bool
 
-val rename : t -> int -> int
-(** The installed renaming as a function (identity when none). *)
-
 val add_pid : t -> int -> unit
 (** Feed a process {e index} through the renaming. Equivalent to
     [add_int] when no renaming is installed. *)
+
+val add_pid_set : t -> Pid.t list -> unit
+(** Feed a pid list that is semantically a (multi)set: its length, then
+    its pids. Under a renaming the renamed indices are fed in ascending
+    order; with none, the stored indices in stored order. *)
+
+val add_pid_assoc : t -> (t -> 'a -> unit) -> (Pid.t * 'a) list -> unit
+(** [add_pid_assoc h f l] feeds a pid-keyed association list: its length,
+    then per binding the pid (through the renaming) and [f h] of the
+    value. Under a renaming the bindings go in renamed-key order, and
+    bindings whose keys rename alike keep their stored order: exactly
+    what a stable sort by renamed key would feed. With no renaming they
+    go in stored order. [f] may feed nested collections. Pass a
+    top-level function: a fresh closure allocates on every call. *)
 
 val perm_size : t -> int
 (** Length of the installed renaming array ([0] when none) — the process
@@ -53,12 +66,17 @@ val perm_size : t -> int
     integers (e.g. Paxos ballots [k*n + i]). *)
 
 type digest = { d1 : int; d2 : int }
-(** Two finalized 63-bit lanes. Structural equality ([=], [Hashtbl.hash])
-    is the intended key discipline. *)
+(** Two finalized 63-bit lanes. Both are avalanched, so [d1] alone is a
+    well-mixed hash-table key; {!equal} compares both. *)
 
 val digest : t -> digest
 (** Finalize (the accumulator is not consumed and may keep accumulating,
     but successive digests of a growing accumulator are unrelated). *)
+
+val digest_d1 : t -> int
+val digest_d2 : t -> int
+(** The two lanes {!digest} would return, without allocating the
+    record. *)
 
 val of_bytes : string -> digest
 (** Digest of a canonical byte string (via MD5, so digest equality is

@@ -30,7 +30,9 @@
    node. [vec_sort] is an insertion sort: candidate sets are tiny (tens
    of elements), it allocates nothing, and it is stable — ties keep the
    order of the input scan, which the enumerator relies on to reproduce
-   the historical [List.sort]-over-creation-order candidate order. *)
+   the historical [List.sort]-over-creation-order candidate order.
+   [vec_sort_by] passes an environment to the comparator, so one that
+   reads per-call data (a renaming) needs no closure built per call. *)
 type 'a vec = { mutable vbuf : 'a array; mutable vlen : int }
 
 let vec_make () = { vbuf = [||]; vlen = 0 }
@@ -46,17 +48,26 @@ let vec_push v x =
   v.vbuf.(v.vlen) <- x;
   v.vlen <- v.vlen + 1
 
-let vec_sort cmp v =
+let rec vec_push_list v = function
+  | [] -> ()
+  | x :: rest ->
+      vec_push v x;
+      vec_push_list v rest
+
+let vec_sort_by cmp env v =
   let a = v.vbuf in
   for i = 1 to v.vlen - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && cmp a.(!j) x > 0 do
+    while !j >= 0 && cmp env a.(!j) x > 0 do
       a.(!j + 1) <- a.(!j);
       decr j
     done;
     a.(!j + 1) <- x
   done
+
+let apply_cmp cmp a b = cmp a b
+let vec_sort cmp v = vec_sort_by apply_cmp cmp v
 
 let vec_to_list_map f v =
   let rec go i acc =
@@ -72,6 +83,16 @@ let vec_count_leq (v : int vec) limit =
     if v.vbuf.(mid) <= limit then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* Tables keyed by state digest. Both lanes are avalanched, so [d1] is
+   the bucket hash as it is, and equality is two int compares: a lookup
+   runs neither [caml_hash] nor polymorphic compare. *)
+module Dtbl = Hashtbl.Make (struct
+  type t = Fingerprint.digest
+
+  let equal = Fingerprint.equal
+  let hash (d : t) = d.Fingerprint.d1
+end)
 
 module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   module M = Machine.Make (P) (C)
@@ -163,21 +184,41 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | K_to (p1, _, _, a1), K_to (p2, _, _, a2) -> p1 <> p2 && a1 = a2
     | _ -> false
 
+  (* Monomorphic key equality: [List.mem] would run polymorphic compare
+     on the [K_del] tuples at every visited hit and every candidate. *)
+  let key_equal k1 k2 =
+    match (k1, k2) with
+    | K_prop, K_prop -> true
+    | K_crash p, K_crash q -> p = q
+    | K_del ((s1, o1), d1, (a1 : Sim_time.t), c1), K_del ((s2, o2), d2, a2, c2)
+      ->
+        s1 = s2 && o1 = o2 && d1 = d2 && a1 = a2 && c1 = c2
+    | K_to (p1, l1, i1, (a1 : Sim_time.t)), K_to (p2, l2, i2, a2) ->
+        p1 = p2 && a1 = a2 && l1 = l2 && String.equal i1 i2
+    | _ -> false
+
   (* sleep sets are tiny; plain sorted-insert lists suffice *)
-  let k_mem k l = List.mem k l
-  let k_subset a b = List.for_all (fun k -> k_mem k b) a
+  let rec k_mem k = function
+    | [] -> false
+    | k' :: rest -> key_equal k k' || k_mem k rest
+
+  let rec k_subset a b =
+    match a with [] -> true | k :: rest -> k_mem k b && k_subset rest b
+
   let k_inter a b = List.filter (fun k -> k_mem k b) a
 
   (* Canonical facts of one in-flight message under the permutation being
-     tried (scratch rows of [fingerprint_sym]). The payload is covered by
-     its full digest under the renaming — intern ids cannot serve here,
-     because a payload and its renamed image intern separately. *)
+     tried: the rows of [fingerprint_sym]'s reused pool, overwritten for
+     every renaming. The payload is covered by its full digest under the
+     renaming — intern ids cannot serve here, because a payload and its
+     renamed image intern separately. *)
   type fp_sym_msg = {
-    fm_nom : int;  (* nominal slot; -1 once overtaken (slot never read again) *)
-    fm_src : int;  (* renamed source index *)
-    fm_dst : int;  (* renamed destination index *)
-    fm_d1 : int;
-    fm_d2 : int;
+    mutable fm_nom : int;
+        (* nominal slot; -1 once overtaken (slot never read again) *)
+    mutable fm_src : int;  (* renamed source index *)
+    mutable fm_dst : int;  (* renamed destination index *)
+    mutable fm_d1 : int;
+    mutable fm_d2 : int;
   }
 
   (* ---- the execution context ------------------------------------- *)
@@ -201,18 +242,23 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (* (sigma, sigma inverse) per candidate renaming of the vote-
            refined group, identity first; [||] when canonicalization is
            off, the backend is marshal, or the group is trivial *)
-    sym_digests : Fingerprint.digest array;
-        (* per-permutation digests of the last [fingerprint_sym] call *)
+    sym_d1 : int array;
+    sym_d2 : int array;
+        (* per-permutation digest lanes of the last [fingerprint_sym] call *)
     mutable sym_argmin : int;
         (* index into [sym_perms] of the renaming that achieved the
            minimal (canonical) digest on that call *)
     sym_twins : (int * int * int) array;
         (* transpositions present in [sym_perms], as (a, b, perm index)
            with [a < b], sorted by (b, a): twin-pruning candidates *)
-    sym_pl_cache : (int, Fingerprint.digest) Hashtbl.t;
-        (* (pl_id * |perms| + perm index) -> payload digest: payloads are
-           interned for the context's lifetime, so the digest depends
-           only on the pair and is computed once *)
+    mutable sym_pl_cache : Fingerprint.digest array;
+        (* payload digest at [pl_id * |perms| + perm index], [no_digest]
+           until computed: payloads are interned for the context's
+           lifetime, so the digest depends only on the pair and is
+           computed once *)
+    mutable sym_sigma : int array;
+        (* the renaming [fingerprint_sym] is hashing under, for the
+           timer comparator *)
     sc_sym_msgs : fp_sym_msg vec;
     mutable clock_t : Sim_time.t;
     mutable clock_k : int;
@@ -388,13 +434,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       fp_acc = Fingerprint.create ();
       fp_pl = Fingerprint.create ();
       sym_perms;
-      sym_digests =
-        Array.make
-          (max 1 (Array.length sym_perms))
-          { Fingerprint.d1 = 0; d2 = 0 };
+      sym_d1 = Array.make (max 1 (Array.length sym_perms)) 0;
+      sym_d2 = Array.make (max 1 (Array.length sym_perms)) 0;
       sym_argmin = 0;
       sym_twins;
-      sym_pl_cache = Hashtbl.create 256;
+      sym_pl_cache = [||];
+      sym_sigma = [||];
       sc_sym_msgs = vec_make ();
       clock_t = Sim_time.zero;
       clock_k = 0;
@@ -996,7 +1041,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        polymorphic compare, no per-node array allocation. *)
     let msgs = ctx.sc_fp_msgs in
     vec_clear msgs;
-    List.iter (fun mg -> vec_push msgs mg) ctx.pending_msgs;
+    vec_push_list msgs ctx.pending_msgs;
     vec_sort fp_msg_cmp msgs;
     Fingerprint.add_int h msgs.vlen;
     for i = 0 to msgs.vlen - 1 do
@@ -1009,7 +1054,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     done;
     let timers = ctx.sc_fp_timers in
     vec_clear timers;
-    List.iter (fun t -> vec_push timers t) ctx.pending_timers;
+    vec_push_list timers ctx.pending_timers;
     vec_sort fp_timer_cmp timers;
     Fingerprint.add_int h timers.vlen;
     for i = 0 to timers.vlen - 1 do
@@ -1023,20 +1068,30 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* ---- symmetry canonicalization ---------------------------------- *)
 
+  let no_digest = { Fingerprint.d1 = 0; d2 = 0 }
+
   (* Digest of one payload under renaming [sigma], memoized per
      (intern id, permutation). *)
   let payload_digest ctx pi sigma payload pl_id =
     let key = (pl_id * Array.length ctx.sym_perms) + pi in
-    match Hashtbl.find_opt ctx.sym_pl_cache key with
-    | Some d -> d
-    | None ->
-        let hp = ctx.fp_pl in
-        Fingerprint.reset hp;
-        Fingerprint.set_perm hp sigma;
-        M.hash_wire hp payload;
-        let d = Fingerprint.digest hp in
-        Hashtbl.add ctx.sym_pl_cache key d;
-        d
+    let cache = ctx.sym_pl_cache in
+    if key < Array.length cache && cache.(key) != no_digest then cache.(key)
+    else begin
+      let hp = ctx.fp_pl in
+      Fingerprint.reset hp;
+      Fingerprint.set_perm hp sigma;
+      M.hash_wire hp payload;
+      let d = Fingerprint.digest hp in
+      if key >= Array.length cache then begin
+        let grown =
+          Array.make (max (key + 1) (2 * Array.length cache)) no_digest
+        in
+        Array.blit cache 0 grown 0 (Array.length cache);
+        ctx.sym_pl_cache <- grown
+      end;
+      ctx.sym_pl_cache.(key) <- d;
+      d
+    end
 
   (* Both canonical sorts order rows by exactly the tuple that gets fed:
      rows tying on every fed field are interchangeable contributions, so
@@ -1059,7 +1114,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      consensus retry-cascade tails that differ only in dead deadlines). *)
   let sym_timer_at ~h t = if t.t_at > h then h + 1 else t.t_at
 
-  let sym_timer_cmp ~h sigma a b =
+  let sym_timer_cmp ctx a b =
+    let h = ctx.cfg.budgets.Mc_limits.horizon and sigma = ctx.sym_sigma in
     let c = compare (sym_timer_at ~h a : int) (sym_timer_at ~h b) in
     if c <> 0 then c
     else
@@ -1071,10 +1127,36 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         let c = compare (layer_code a.t_layer) (layer_code b.t_layer) in
         if c <> 0 then c else String.compare a.t_id b.t_id
 
-  let digest_lt (a : Fingerprint.digest) (b : Fingerprint.digest) =
-    a.Fingerprint.d1 < b.Fingerprint.d1
-    || (a.Fingerprint.d1 = b.Fingerprint.d1
-       && a.Fingerprint.d2 < b.Fingerprint.d2)
+  (* Row [i] of the reused message-row pool, growing the pool with
+     fresh records: [vec_push]'s [Array.make] fill would put one shared
+     record in every new slot, and overwriting it would alias every row. *)
+  let sym_row rows i =
+    if i = Array.length rows.vbuf then
+      rows.vbuf <-
+        Array.init
+          (max 16 (2 * i))
+          (fun k ->
+            if k < i then rows.vbuf.(k)
+            else { fm_nom = 0; fm_src = 0; fm_dst = 0; fm_d1 = 0; fm_d2 = 0 });
+    rows.vbuf.(i)
+
+  let rec fill_sym_rows ctx pi sigma rows = function
+    | [] -> ()
+    | mg :: rest ->
+        let r = sym_row rows rows.vlen in
+        let d = payload_digest ctx pi sigma mg.payload mg.pl_id in
+        r.fm_nom <- (if is_overtaken ctx mg then -1 else mg.nominal);
+        r.fm_src <- sigma.(Pid.index mg.src);
+        r.fm_dst <- sigma.(Pid.index mg.dst);
+        r.fm_d1 <- d.Fingerprint.d1;
+        r.fm_d2 <- d.Fingerprint.d2;
+        rows.vlen <- rows.vlen + 1;
+        fill_sym_rows ctx pi sigma rows rest
+
+  (* lexicographic order of the per-permutation digests [pi] and [pj] *)
+  let digest_lt ctx pi pj =
+    ctx.sym_d1.(pi) < ctx.sym_d1.(pj)
+    || (ctx.sym_d1.(pi) = ctx.sym_d1.(pj) && ctx.sym_d2.(pi) < ctx.sym_d2.(pj))
 
   (* Orbit-minimization canonicalization: hash the state under every
      renaming of the vote-refined group and keep the least digest, so all
@@ -1100,6 +1182,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let horizon = ctx.cfg.budgets.Mc_limits.horizon in
     let np = Array.length ctx.sym_perms in
     let best = ref 0 in
+    (* ties under every renaming's timer order feed identical words, so
+       one fill serves all the per-renaming sorts *)
+    let timers = ctx.sc_fp_timers in
+    vec_clear timers;
+    vec_push_list timers ctx.pending_timers;
     for pi = 0 to np - 1 do
       let sigma, inv = ctx.sym_perms.(pi) in
       Fingerprint.reset h;
@@ -1128,18 +1215,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       done;
       let msgs = ctx.sc_sym_msgs in
       vec_clear msgs;
-      List.iter
-        (fun mg ->
-          let d = payload_digest ctx pi sigma mg.payload mg.pl_id in
-          vec_push msgs
-            {
-              fm_nom = (if is_overtaken ctx mg then -1 else mg.nominal);
-              fm_src = sigma.(Pid.index mg.src);
-              fm_dst = sigma.(Pid.index mg.dst);
-              fm_d1 = d.Fingerprint.d1;
-              fm_d2 = d.Fingerprint.d2;
-            })
-        ctx.pending_msgs;
+      fill_sym_rows ctx pi sigma msgs ctx.pending_msgs;
       vec_sort fp_sym_msg_cmp msgs;
       Fingerprint.add_int h msgs.vlen;
       for i = 0 to msgs.vlen - 1 do
@@ -1150,10 +1226,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         Fingerprint.add_int h fm.fm_d1;
         Fingerprint.add_int h fm.fm_d2
       done;
-      let timers = ctx.sc_fp_timers in
-      vec_clear timers;
-      List.iter (fun t -> vec_push timers t) ctx.pending_timers;
-      vec_sort (sym_timer_cmp ~h:horizon sigma) timers;
+      ctx.sym_sigma <- sigma;
+      vec_sort_by sym_timer_cmp ctx timers;
       Fingerprint.add_int h timers.vlen;
       for i = 0 to timers.vlen - 1 do
         let t = timers.vbuf.(i) in
@@ -1162,13 +1236,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         Fingerprint.add_int h (layer_code t.t_layer);
         Fingerprint.add_string h t.t_id
       done;
-      let d = Fingerprint.digest h in
-      ctx.sym_digests.(pi) <- d;
-      if pi > 0 && digest_lt d ctx.sym_digests.(!best) then best := pi
+      ctx.sym_d1.(pi) <- Fingerprint.digest_d1 h;
+      ctx.sym_d2.(pi) <- Fingerprint.digest_d2 h;
+      if pi > 0 && digest_lt ctx pi !best then best := pi
     done;
     Fingerprint.clear_perm h;
     ctx.sym_argmin <- !best;
-    ctx.sym_digests.(!best)
+    { Fingerprint.d1 = ctx.sym_d1.(!best); d2 = ctx.sym_d2.(!best) }
 
   (* The historical backend, verbatim up to the digest representation:
      marshal everything, MD5 the bytes. Kept as the semantic reference
@@ -1287,16 +1361,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let twin_prune ctx (counters : Mc_limits.counters) sleep cands =
     if Array.length ctx.sym_twins = 0 then cands
     else begin
-      let id_d = ctx.sym_digests.(0) in
       let live =
         List.filter
-          (fun (_, _, pi) -> Fingerprint.equal ctx.sym_digests.(pi) id_d)
+          (fun (_, _, pi) ->
+            ctx.sym_d1.(pi) = ctx.sym_d1.(0) && ctx.sym_d2.(pi) = ctx.sym_d2.(0))
           (Array.to_list ctx.sym_twins)
       in
       if live = [] then cands
       else begin
         let dropped = ref [] in
-        let is_dropped k = List.mem k !dropped in
+        let is_dropped k = k_mem k !dropped in
         (* a kept witness: a candidate satisfying the image predicate
            whose own subtree is really explored at this node — not
            slept, not itself dropped *)
@@ -1380,7 +1454,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   exception Out_of_states
 
   (* The DFS is generic over its visited table so the same search serves
-     both dedup scopes: a plain per-item [Hashtbl] (single-domain, the
+     both dedup scopes: a plain per-item [Dtbl] (single-domain, the
      deterministic default) and a {!Mc_shards} table shared by every
      item of one vote-set group. [vt_add] is called only when [vt_find]
      saw no binding; its boolean reports whether this caller actually
@@ -1394,16 +1468,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     vt_size : unit -> int;
   }
 
-  let vtable_of_tbl (tbl : (Fingerprint.digest, key list) Hashtbl.t) =
+  let vtable_of_tbl (tbl : key list Dtbl.t) =
     {
-      vt_find = Hashtbl.find_opt tbl;
+      vt_find = Dtbl.find_opt tbl;
       (* single-owner table: a miss in [vt_find] guarantees freshness *)
       vt_add =
         (fun fp sleep ->
-          Hashtbl.replace tbl fp sleep;
+          Dtbl.replace tbl fp sleep;
           true);
-      vt_store = Hashtbl.replace tbl;
-      vt_size = (fun () -> Hashtbl.length tbl);
+      vt_store = Dtbl.replace tbl;
+      vt_size = (fun () -> Dtbl.length tbl);
     }
 
   let vtable_of_shards (sh : key list Mc_shards.t) =
@@ -1527,7 +1601,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let budgets = ctx.cfg.budgets in
     let rec go () =
       let fp = fingerprint ctx in
-      match Hashtbl.find_opt visited fp with
+      match Dtbl.find_opt visited fp with
       | Some x ->
           counters.dedup_hits <- counters.dedup_hits + 1;
           x
@@ -1535,7 +1609,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           match enumerate ctx with
           | [] -> 1.0
           | cands ->
-              if Hashtbl.length visited >= budgets.Mc_limits.max_states then
+              if Dtbl.length visited >= budgets.Mc_limits.max_states then
                 raise Out_of_states;
               counters.states <- counters.states + 1;
               let snap = save ctx in
@@ -1550,7 +1624,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                   0.0 cands
               in
               release ctx snap;
-              Hashtbl.replace visited fp total;
+              Dtbl.replace visited fp total;
               total)
     in
     go ()
@@ -1627,7 +1701,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | [] | [ _ ] -> prefixes
     | _ when Option.is_none (sym_group cfg) -> prefixes
     | _ ->
-        let seen = Hashtbl.create 64 in
+        let seen = Dtbl.create 64 in
         List.filter
           (fun prefix ->
             let ctx = create_ctx cfg in
@@ -1635,9 +1709,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             | Some _ -> true
             | None ->
                 let fp = fingerprint ctx in
-                if Hashtbl.mem seen fp then false
+                if Dtbl.mem seen fp then false
                 else begin
-                  Hashtbl.add seen fp ();
+                  Dtbl.add seen fp ();
                   true
                 end)
           prefixes
@@ -1949,13 +2023,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            [swarm_open_depth] levels. [None]: a plain frontier item. *)
   }
 
-  (* Preallocating the visited table toward its budget avoids the
-     rehash cascade on the way up (growing from 4096 to the default
-     400k budget costs ~7 full rehashes of an ever-larger table). The
-     cap keeps small explorations from paying for buckets they will
-     never fill — beyond it one or two final rehashes are noise. *)
-  let fresh_visited (cfg : config) : (Fingerprint.digest, 'a) Hashtbl.t =
-    Hashtbl.create (min cfg.budgets.Mc_limits.max_states 65_536)
+  (* A frontier item's table starts small and grows as it fills: the
+     frontier splits each vote set into ~[frontier_target] items, so an
+     item stores hundreds to tens of thousands of states, far below the
+     state budget, and a table sized to the budget would spend more
+     allocating empty buckets than the rehashes it saves. *)
+  let fresh_visited () : 'a Dtbl.t = Dtbl.create 1024
 
   (* How many tree levels a swarm walker keeps exploring through states
      another walker already claimed (see [dfs_dpor]'s [?open_depth]).
@@ -1978,7 +2051,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            let vt =
              match wi.wi_shared with
              | Some sh -> vtable_of_shards sh
-             | None -> vtable_of_tbl (fresh_visited wi.wi_cfg)
+             | None -> vtable_of_tbl (fresh_visited ())
            in
            (match wi.wi_seed with
            | None -> dfs_dpor ctx counters vt
@@ -1999,9 +2072,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       match replay_prefix ctx wi.wi_prefix with
       | Some _ -> (1.0, false)
       | None ->
-          ( dfs_count ctx
-              (Mc_limits.fresh_counters ())
-              (fresh_visited wi.wi_cfg),
+          ( dfs_count ctx (Mc_limits.fresh_counters ()) (fresh_visited ()),
             false )
     with Out_of_states -> (0.0, true)
 

@@ -143,7 +143,8 @@ let canonical ?(consensus = Registry.Paxos) ~protocol ~n ~f ?u () =
    either backend. Benchmarks time the closure; context preparation
    stays outside the measured region. *)
 let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
-    ?(prefix_steps = 6) ?(symmetry = false) ~protocol ~n ~f ~klass () =
+    ?(prefix_steps = 6) ?(symmetry = false) ?votes ~protocol ~n ~f ~klass
+    () =
   let reg = Registry.find_exn protocol in
   let module P = (val reg.Registry.proto) in
   let module C =
@@ -158,7 +159,7 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
       E.n;
       f;
       u;
-      votes = Array.make n Vote.yes;
+      votes = Option.value votes ~default:(Array.make n Vote.yes);
       klass = { E.allow_crashes; allow_late };
       budgets = Mc_limits.default_budgets ~u;
       fp = Mc_limits.default_fp;

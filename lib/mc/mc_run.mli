@@ -111,6 +111,7 @@ val fingerprint_sampler :
   ?u:Sim_time.t ->
   ?prefix_steps:int ->
   ?symmetry:bool ->
+  ?votes:Vote.t array ->
   protocol:string ->
   n:int ->
   f:int ->
@@ -126,7 +127,9 @@ val fingerprint_sampler :
     time only the fingerprint work). With [~symmetry:true] the hashed
     backend times the full canonicalization — every group renaming plus
     the orbit minimum — so the delta against the default sampler is the
-    per-call cost of symmetry reduction. *)
+    per-call cost of symmetry reduction. [votes] (default: every process
+    votes yes) refines the group as in an exploration of that vote
+    vector, so pass the vector a run explores to time its group. *)
 
 val verdict_string : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -39,7 +39,7 @@ let hash_state =
     (fun h s ->
       fp_bool h s.decided;
       fp_vote h s.decision;
-      fp_pid_set h s.heard_from)
+      Fingerprint.add_pid_set h s.heard_from)
 
 let hash_msg =
   let open Proto_util in

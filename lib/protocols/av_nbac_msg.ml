@@ -74,7 +74,7 @@ let hash_state =
     (fun h s ->
       fp_vote h s.votes;
       fp_bool h s.received;
-      fp_pid_set h s.collection;
+      Fingerprint.add_pid_set h s.collection;
       fp_bool h s.decided)
 
 let hash_msg =

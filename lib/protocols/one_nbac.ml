@@ -83,8 +83,8 @@ let hash_state =
       fp_bool h s.proposed;
       fp_bool h s.decided;
       fp_vote h s.decision;
-      fp_pid_set h s.collection0;
-      fp_pid_set h s.collection1)
+      Fingerprint.add_pid_set h s.collection0;
+      Fingerprint.add_pid_set h s.collection1)
 
 let hash_msg =
   let open Proto_util in

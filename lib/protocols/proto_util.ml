@@ -29,10 +29,11 @@ let ranked_from env j =
    byte-for-byte.
 
    Collections keyed by pid whose order is not semantically meaningful
-   are additionally re-sorted by the {e renamed} pid when a renaming is
-   active: feeding them in stored order would make two permuted states
-   feed different sequences and the orbit would not collapse. With no
-   renaming the stored order is kept, again for byte-stability. *)
+   go through [Fingerprint.add_pid_set]/[add_pid_assoc], which feed them
+   in renamed-key order when a renaming is active: feeding them in stored
+   order would make two permuted states feed different sequences and the
+   orbit would not collapse. With no renaming the stored order is kept,
+   again for byte-stability. *)
 
 let fp_int = Fingerprint.add_int
 let fp_bool = Fingerprint.add_bool
@@ -45,59 +46,22 @@ let fp_opt f h = function
       Fingerprint.add_int h 1;
       f h x
 
+(* a loop, not [List.iter (f h)]: the partial application would
+   allocate a closure per call *)
+let rec fp_each f h = function
+  | [] -> ()
+  | x :: rest ->
+      f h x;
+      fp_each f h rest
+
 let fp_list f h l =
   Fingerprint.add_int h (List.length l);
-  List.iter (f h) l
+  fp_each f h l
 
 let fp_pids h l = fp_list fp_pid h l
 
-(* A pid list that is semantically a set (order is an artifact of the
-   path that built it). Renaming active: feed in renamed-sorted order. *)
-let fp_pid_set h l =
-  if Fingerprint.perm_active h then
-    fp_list fp_int h
-      (List.sort compare (List.map (fun p -> Fingerprint.rename h (Pid.index p)) l))
-  else fp_pids h l
-
-let fp_vset h s =
-  let bs = Vset.bindings s in
-  let bs =
-    (* [bindings] is index-sorted; renaming permutes the keys, so
-       re-sort by the renamed index to stay canonical *)
-    if Fingerprint.perm_active h then
-      List.sort
-        (fun (p, _) (q, _) ->
-          compare (Fingerprint.rename h (Pid.index p))
-            (Fingerprint.rename h (Pid.index q)))
-        bs
-    else bs
-  in
-  fp_list
-    (fun h (p, v) ->
-      fp_pid h p;
-      fp_vote h v)
-    h bs
-
-(* Pid-keyed association lists (keys unique, order path-dependent):
-   sorted by renamed key when a renaming is active, stored order
-   otherwise. *)
-let fp_assoc fval h l =
-  let l =
-    if Fingerprint.perm_active h then
-      List.sort
-        (fun (p, _) (q, _) ->
-          compare (Fingerprint.rename h (Pid.index p))
-            (Fingerprint.rename h (Pid.index q)))
-        l
-    else l
-  in
-  fp_list
-    (fun h (p, x) ->
-      fp_pid h p;
-      fval h x)
-    h l
-
-let fp_assoc_vsets h l = fp_assoc fp_vset h l
+let fp_vset h s = Fingerprint.add_pid_assoc h fp_vote (Vset.bindings s)
+let fp_assoc_vsets h l = Fingerprint.add_pid_assoc h fp_vset l
 
 (* ---- message canonicalizers (hash_msg) ----------------------------- *)
 

@@ -27,12 +27,13 @@ val ranked_from : Proto.env -> int -> Pid.t list
     value is framed with its length ([fp_list]) so adjacent fields
     cannot alias.
 
-    Pid-valued data is routed through {!Fingerprint.add_pid}, and
-    pid-keyed collections with path-dependent order ({!fp_pid_set},
-    {!fp_vset}, {!fp_assoc}) are re-sorted by the renamed pid whenever
-    the model checker's symmetry canonicalization has installed a
-    renaming on the accumulator. With no renaming active every helper
-    feeds the historical word sequence unchanged. *)
+    Pid-valued data goes through {!Fingerprint.add_pid}. Pid-keyed
+    collections with path-dependent order go through
+    {!Fingerprint.add_pid_set} and {!Fingerprint.add_pid_assoc} (as
+    {!fp_vset} and {!fp_assoc_vsets} do), which feed them in renamed-pid
+    order whenever the model checker's symmetry canonicalization has
+    installed a renaming on the accumulator. With no renaming active every
+    helper feeds the historical word sequence unchanged. *)
 
 val fp_int : Fingerprint.t -> int -> unit
 val fp_bool : Fingerprint.t -> bool -> unit
@@ -49,18 +50,6 @@ val fp_list :
 val fp_pids : Fingerprint.t -> Pid.t list -> unit
 (** Order-preserving (for lists whose order is semantically meaningful). *)
 
-val fp_pid_set : Fingerprint.t -> Pid.t list -> unit
-(** For pid lists that are semantically sets: renamed-sorted under an
-    active renaming, stored order otherwise. *)
-
 val fp_vset : Fingerprint.t -> Vset.t -> unit
-
-val fp_assoc :
-  (Fingerprint.t -> 'a -> unit) ->
-  Fingerprint.t ->
-  (Pid.t * 'a) list ->
-  unit
-(** Pid-keyed association list with unique keys and path-dependent
-    order. *)
 
 val fp_assoc_vsets : Fingerprint.t -> (Pid.t * Vset.t) list -> unit

@@ -96,7 +96,7 @@ let hash_state =
       fp_bool h s.received_b;
       fp_bool h s.relayed;
       fp_int h s.phase;
-      fp_pid_set h s.collection;
+      Fingerprint.add_pid_set h s.collection;
       fp_bool h s.decided)
 
 let hash_msg =

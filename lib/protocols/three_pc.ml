@@ -262,13 +262,13 @@ let hash_state =
     (fun h s ->
       fp_vote h s.vote;
       fp_vote h s.conjunction;
-      fp_pid_set h s.heard_from;
-      fp_pid_set h s.acks;
+      Fingerprint.add_pid_set h s.heard_from;
+      Fingerprint.add_pid_set h s.acks;
       fp_status h s.status;
       fp_bool h s.decided;
       fp_bool h s.blocked_seen;
-      fp_assoc fp_status h s.states;
-      fp_pid_set h s.acks2)
+      Fingerprint.add_pid_assoc h fp_status s.states;
+      Fingerprint.add_pid_set h s.acks2)
 
 let hash_msg =
   let open Proto_util in

@@ -94,7 +94,7 @@ let hash_state =
   Some
     (fun h s ->
       fp_vote h s.conjunction;
-      fp_pid_set h s.heard_from;
+      Fingerprint.add_pid_set h s.heard_from;
       fp_bool h s.decided;
       fp_bool h s.announced)
 

@@ -103,7 +103,7 @@ let hash_state =
     (fun h s ->
       fp_vote h s.vote;
       fp_vote h s.conjunction;
-      fp_pid_set h s.heard_from;
+      Fingerprint.add_pid_set h s.heard_from;
       fp_bool h s.decided;
       fp_bool h s.announced)
 

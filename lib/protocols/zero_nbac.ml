@@ -90,7 +90,7 @@ let hash_state =
       fp_int h s.phase;
       fp_bool h s.decided;
       fp_bool h s.proposed;
-      fp_pid_set h s.myack)
+      Fingerprint.add_pid_set h s.myack)
 
 let hash_msg =
   let open Proto_util in

@@ -69,11 +69,12 @@ type 'state state_hasher = Fingerprint.t -> 'state -> unit
     Renaming discipline (symmetry reduction): every pid-valued datum must
     go through {!Fingerprint.add_pid} (helpers: {!Proto_util.fp_pid} and
     friends), and pid-{e keyed} collections whose order is not itself
-    semantically meaningful should be fed in renamed-sorted order
-    ([Proto_util.fp_vset]/[fp_pid_set] do). The checker then hashes a
-    state under candidate process permutations and collapses each
-    symmetry orbit to one fingerprint; with no permutation installed the
-    renaming helpers are the identity, so hashing is unchanged. *)
+    semantically meaningful must go through {!Fingerprint.add_pid_set} or
+    {!Fingerprint.add_pid_assoc} ([Proto_util.fp_vset] and
+    [fp_assoc_vsets] do), which feed them in renamed-pid order. The checker
+    then hashes a state under candidate process permutations and
+    collapses each symmetry orbit to one fingerprint; with no permutation
+    installed the renaming helpers feed the stored data unchanged. *)
 
 type 'msg msg_hasher = Fingerprint.t -> 'msg -> unit
 (** Canonical {e message} hasher, the payload-side companion of

@@ -215,6 +215,94 @@ let test_trace_accessors () =
   check tint "note filter hit" 1 (List.length (Trace.notes ~label:"phase" t));
   check tint "note filter miss" 0 (List.length (Trace.notes ~label:"other" t))
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint: pid-keyed feeders against a sort-based reference *)
+
+(* The reference is a sorting canonicalizer: the length, then the
+   elements stably sorted by renamed pid, each pid as its renamed index.
+   It runs on an accumulator with no renaming installed, feeding renamed
+   indices by hand, so it shares no code with the feeders. *)
+let ref_order perm key l =
+  match perm with
+  | None -> l
+  | Some s -> List.stable_sort (fun a b -> compare s.(key a) s.(key b)) l
+
+let ref_pid perm p = match perm with None -> p | Some s -> s.(p)
+
+let ref_set h perm l =
+  Fingerprint.add_int h (List.length l);
+  List.iter
+    (fun p -> Fingerprint.add_int h (ref_pid perm p))
+    (ref_order perm Fun.id l)
+
+let ref_assoc feed h perm l =
+  Fingerprint.add_int h (List.length l);
+  List.iter
+    (fun (p, x) ->
+      Fingerprint.add_int h (ref_pid perm p);
+      feed h perm x)
+    (ref_order perm fst l)
+
+let pids l = List.map (fun (p, x) -> (Pid.of_index p, x)) l
+let feed_inner h l = Fingerprint.add_pid_assoc h Fingerprint.add_int (pids l)
+
+type fp_case = {
+  perm : int array option;
+  set : int list;
+  assoc : (int * int) list;
+      (* keys may repeat, as in 3PC's state reports: then the stored
+         order among equal keys must survive *)
+  nested : (int * (int * int) list) list;  (* unique keys, as in a Vset *)
+}
+
+let gen_fp_case =
+  let open QCheck.Gen in
+  int_range 2 7 >>= fun n ->
+  let pid = int_range 0 (n - 1) in
+  let unique_keys = shuffle_l (List.init n Fun.id) >>= fun ks ->
+    int_range 0 n >|= fun k -> List.filteri (fun i _ -> i < k) ks
+  in
+  let unique v =
+    unique_keys >>= fun ks ->
+    flatten_l (List.map (fun k -> v >|= fun x -> (k, x)) ks)
+  in
+  let perm = opt (shuffle_l (List.init n Fun.id) >|= Array.of_list) in
+  map4
+    (fun perm set assoc nested -> { perm; set; assoc; nested })
+    perm
+    (list_size (int_range 0 12) pid)
+    (list_size (int_range 0 10) (pair pid small_nat))
+    (unique (unique small_nat))
+
+let print_fp_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let pairs l =
+    String.concat ";" (List.map (fun (p, x) -> Printf.sprintf "%d,%d" p x) l)
+  in
+  Printf.sprintf "perm=%s set=[%s] assoc=[%s] nested=[%s]"
+    (match c.perm with None -> "none" | Some s -> ints (Array.to_list s))
+    (ints c.set) (pairs c.assoc)
+    (String.concat " "
+       (List.map (fun (p, l) -> Printf.sprintf "%d:[%s]" p (pairs l)) c.nested))
+
+let prop_fp_feeders_match_sort =
+  QCheck.Test.make ~count:500
+    ~name:"pid-keyed feeders feed what a stable renamed sort feeds"
+    (QCheck.make ~print:print_fp_case gen_fp_case)
+    (fun c ->
+      let h = Fingerprint.create () in
+      Option.iter (Fingerprint.set_perm h) c.perm;
+      Fingerprint.add_pid_set h (List.map Pid.of_index c.set);
+      Fingerprint.add_pid_assoc h Fingerprint.add_int (pids c.assoc);
+      Fingerprint.add_pid_assoc h feed_inner (pids c.nested);
+      let r = Fingerprint.create () in
+      ref_set r c.perm c.set;
+      ref_assoc (fun h _ x -> Fingerprint.add_int h x) r c.perm c.assoc;
+      ref_assoc
+        (ref_assoc (fun h _ x -> Fingerprint.add_int h x))
+        r c.perm c.nested;
+      Fingerprint.equal (Fingerprint.digest h) (Fingerprint.digest r))
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -237,6 +325,7 @@ let () =
           quick "all_yes" test_vote_all_yes;
         ] );
       ("time", [ quick "delays" test_time_delays ]);
+      ("fingerprint", [ prop prop_fp_feeders_match_sort ]);
       ( "rng",
         [
           quick "determinism" test_rng_determinism;

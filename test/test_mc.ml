@@ -689,6 +689,129 @@ let test_pool_network_counters () =
   check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
   check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips
 
+(* ------------------------------------------------------------------ *)
+(* Golden counters of the benchmark sweep. A verdict alone does not
+   guard canonicalization: a fingerprint that wrongly merges two states
+   can still leave a clean space clean, only smaller. The full counter
+   record of every sweep space (each run at --jobs 1, the vote vectors
+   it picks from, plus the vote-0-at-rank-1 variant of the spaces that
+   default to all yes) is pinned instead, so any change to what the
+   checker explores shows up here, however the verdict lands. *)
+
+let sweep_spaces =
+  let c states transitions schedules terminals dedup_hits sleep_skips
+      horizon_cuts peak_visited canon_calls orbit_hits twin_skips =
+    {
+      Mc_limits.states;
+      transitions;
+      schedules;
+      terminals;
+      dedup_hits;
+      sleep_skips;
+      horizon_cuts;
+      depth_cuts = 0;
+      budget_hit = false;
+      peak_visited;
+      canon_calls;
+      orbit_hits;
+      twin_skips;
+    }
+  in
+  let ok = "ok (exhausted)" in
+  [
+    ( ("inbac", 4, Mc_run.Crash, []),
+      ok,
+      c 13046 19004 4826 54 4596 19384 176 658 19040 9213 574 );
+    ( ("inbac", 4, Mc_run.Crash, [ 1 ]),
+      ok,
+      c 6523 9502 2413 27 2298 9692 88 658 9520 4765 287 );
+    ( ("inbac", 4, Mc_run.Crash, [ 2 ]),
+      ok,
+      c 6523 9502 2413 27 2298 9692 88 658 9520 4658 287 );
+    ( ("paxos-commit", 4, Mc_run.Crash, [ 1 ]),
+      ok,
+      c 8040 11697 3212 77 3031 10541 104 632 11724 5219 394 );
+    ( ("paxos-commit", 4, Mc_run.Crash, [ 2 ]),
+      ok,
+      c 8209 11931 3255 80 3071 10737 104 632 11958 5445 408 );
+    ( ("faster-paxos-commit", 4, Mc_run.Crash, [ 1 ]),
+      ok,
+      c 2705 6903 3657 71 3578 2654 8 505 6930 2505 632 );
+    ( ("faster-paxos-commit", 4, Mc_run.Crash, [ 2 ]),
+      ok,
+      c 2705 6903 3657 71 3578 2654 8 505 6930 2656 632 );
+    ( ("3pc", 3, Mc_run.Network, []),
+      "VIOLATION: agreement (replay-verified)",
+      c 64166 162172 89571 4302 85269 51324 0 28696 0 0 0 );
+    ( ("3pc", 3, Mc_run.Network, [ 1 ]),
+      ok,
+      c 11134 27114 14508 1026 13482 8048 0 2370 0 0 0 );
+  ]
+
+let counters_testable =
+  let pp ppf (c : Mc_limits.counters) =
+    Format.fprintf ppf
+      "%a; depth cuts %d, budget hit %b, peak visited %d, canonicalizations \
+       %d"
+      Mc_limits.pp_counters c c.Mc_limits.depth_cuts c.Mc_limits.budget_hit
+      c.Mc_limits.peak_visited c.Mc_limits.canon_calls
+  in
+  Alcotest.testable pp ( = )
+
+let sweep_golden_tests =
+  List.map
+    (fun ((protocol, n, klass, ranks), verdict, counters) ->
+      let name =
+        Printf.sprintf "%s n=%d %s vote0 [%s]" protocol n
+          (Mc_run.class_name klass)
+          (String.concat "," (List.map string_of_int ranks))
+      in
+      Alcotest.test_case name `Quick (fun () ->
+          let vote_sets =
+            match ranks with
+            | [] -> None
+            | _ ->
+                let votes = Array.make n Vote.yes in
+                List.iter
+                  (fun r -> votes.(Pid.index (Pid.of_rank r)) <- Vote.no)
+                  ranks;
+                Some [ votes ]
+          in
+          let o =
+            Mc_run.run ?vote_sets ~jobs:1 ~protocol ~n ~f:1 ~klass ()
+          in
+          check Alcotest.string "verdict" verdict (Mc_run.verdict_string o);
+          check counters_testable "counters" counters o.Mc_run.counters))
+    sweep_spaces
+
+(* Allocation pin on the fingerprint hot path. A warm probe context
+   (INBAC n=4, f=1, all yes: the group swaps the two plain participants,
+   order 2) recomputes its fingerprint; every renaming-aware feeder, the
+   message rows, the payload-digest cache and the timer sort reuse their
+   buffers, so what remains per call is the digest record. The ceilings
+   leave room for the compiler, not for a per-renaming sort or closure:
+   the sorting canonicalizers allocated 1242 and 152 words a call. *)
+let test_fingerprint_allocation () =
+  let words_per_call ~symmetry =
+    let probe =
+      Mc_run.fingerprint_sampler ~symmetry ~protocol:"inbac" ~n:4 ~f:1
+        ~klass:Mc_run.Crash ()
+    in
+    let calls = 1_000 in
+    probe Mc_limits.Fp_hashed 100;
+    let w0 = Gc.minor_words () in
+    probe Mc_limits.Fp_hashed calls;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let canon = words_per_call ~symmetry:true in
+  let plain = words_per_call ~symmetry:false in
+  check tbool
+    (Printf.sprintf "canonical fingerprint: %.1f <= 128 minor words/call" canon)
+    true (canon <= 128.);
+  check tbool
+    (Printf.sprintf "plain fingerprint: %.1f <= 64 minor words/call" plain)
+    true (plain <= 64.)
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   Alcotest.run "mc"
@@ -739,7 +862,10 @@ let () =
         @ [
             quick "mctable verdicts identical symmetry on/off"
               test_mctable_verdicts_symmetry;
+            quick "fingerprint allocation per call"
+              test_fingerprint_allocation;
           ] );
+      ("sweep-golden", sweep_golden_tests);
       ( "snapshot-pool",
         Fp_inbac.pool_tests @ Fp_2pc.pool_tests
         @ [
