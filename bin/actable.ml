@@ -504,7 +504,12 @@ let txserve_cmd =
   let keys_arg =
     Arg.(
       value & opt int 2048
-      & info [ "keys" ] ~docv:"K" ~doc:"Keyspace size.")
+      & info [ "keys" ] ~docv:"K"
+          ~doc:
+            (Printf.sprintf
+               "Keyspace size, at most %d (2^24): the service keeps each \
+                key's owner, version and lock holder in dense tables."
+               Keyspace.max_keys))
   in
   let soak_arg =
     Arg.(

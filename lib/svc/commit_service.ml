@@ -83,6 +83,16 @@ let service_class = 1
 let deliver_class = 2
 let timeout_class = 3
 
+(* owner sets, keyed by their ascending shard array *)
+module Shard_sets = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash a = Array.fold_left (fun h s -> (h * 31) + s) 0 a land max_int
+end)
+
 module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   module M = Machine.Make (P) (C)
 
@@ -117,18 +127,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   (* A transaction waiting on a holder, sitting in a batch, or running
-     through an instance. Everything admission reads is fixed per
-     transaction, so it is computed once at submit: key indices into the
-     interned keyspace and the interned write-owner set. *)
+     through an instance: its sequence number, its key indices and the
+     versions it read. Everything admission reads is fixed per
+     transaction, so it is computed once at submit, the interned
+     write-owner set included. *)
   and waiter = {
-    w_txn : Txn.t;
+    w_id : int;
     w_client : int;
     w_submitted : Sim_time.t;
     w_keys : int array;
-        (* every key, in [Txn.keys] (name) order: a waiter queues on the
-           first held key in this order *)
-    w_reads : int array;  (* [Txn.reads]' keys, in order *)
-    w_writes : int array;  (* [Txn.writes]' keys, in order *)
+        (* every key, in name order ("k10" < "k9"): a waiter queues on
+           the first held key in this order *)
+    w_reads : int array;
+    w_read_vers : int array;  (* [w_reads]' versions at submit *)
+    w_writes : int array;
     w_owners : owner_set;
     mutable w_waits : int;  (* completed waits so far *)
   }
@@ -157,19 +169,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | Inst of iev
 
   let run ?observe ~n ~f (spec : spec) : stats =
+    let wall_start = Unix.gettimeofday () in
+    let gc_words0 = Gc.minor_words () in
     let u = Sim_time.default_u in
     let env_of pid = { Proto.n; f; u; self = pid } in
     let rng = Rng.create spec.seed in
     let dist = Workload.Zipf.make ~keys:spec.keys ~s:spec.zipf_s in
     let q : sev Mux.t = Mux.create () in
-    let stores = Array.init n (fun _ -> Kv_store.create ()) in
+    let ks = Keyspace.create ~n ~keys:spec.keys in
     let all_pids = Pid.all ~n in
-    (* the keyspace is dense and known up front: intern every key name and
-       its owner shard once, so no later step formats or hashes a key *)
-    let key_names = Array.init spec.keys (fun i -> "k" ^ string_of_int i) in
-    let key_owner =
-      Array.map (fun k -> Pid.index (Txn_system.placement_key ~n k)) key_names
-    in
     (* write locks held by launched-but-unresolved instances, one slot per
        key. Admission and launch both turn away a transaction any of whose
        keys is held, so a key has at most one holder. Holding the instance
@@ -188,7 +196,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       List.iter
         (fun w ->
           Array.iter
-            (fun k -> if key_owner.(k) = shard then key_holder.(k) <- None)
+            (fun k ->
+              if Keyspace.owner ks k = shard then key_holder.(k) <- None)
             w.w_writes)
         inst.i_members
     in
@@ -246,13 +255,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let stolen = ref 0 in
     let members_launched = ref 0 in
 
-    let owner_sets : (int list, owner_set) Hashtbl.t = Hashtbl.create 64 in
+    let owner_sets : owner_set Shard_sets.t = Shard_sets.create 64 in
     let intern_owners shards =
-      match Hashtbl.find_opt owner_sets shards with
+      match Shard_sets.find_opt owner_sets shards with
       | Some os -> os
       | None ->
-          let os = { shards = Array.of_list shards; open_batches = [] } in
-          Hashtbl.add owner_sets shards os;
+          let os = { shards; open_batches = [] } in
+          Shard_sets.add owner_sets shards os;
           os
     in
     let ready : batch Queue.t = Queue.create () in
@@ -275,8 +284,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let atomicity_ok = ref true in
     let last_time = ref Sim_time.zero in
     let txn_seq = ref 0 in
-    let wall_start = Unix.gettimeofday () in
-    let gc_words0 = Gc.minor_words () in
 
     (* The instance-tagged sink: one network, one clock, one rng across
        all instances. Protocols express "set timer to time k" as an
@@ -394,16 +401,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       end
     in
 
-    (* [w]'s writes owned by [shard], in [Txn.writes] order *)
-    let local_writes shard (w : waiter) =
-      let rec go j = function
-        | [] -> []
-        | kv :: rest ->
-            if key_owner.(w.w_writes.(j)) = shard then kv :: go (j + 1) rest
-            else go (j + 1) rest
-      in
-      go 0 w.w_txn.Txn.writes
-    in
     let start_members now (members : waiter list) =
       let id = !next_inst in
       incr next_inst;
@@ -412,8 +409,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (fun w ->
           Array.iter
             (fun shard ->
-              Kv_store.stage stores.(shard) ~txn_id:w.w_txn.Txn.id
-                ~writes:(local_writes shard w))
+              Keyspace.stage ks ~shard ~txn:w.w_id ~writes:w.w_writes)
             w.w_owners.shards)
         members;
       let tag = Mux.alloc q in
@@ -457,12 +453,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       Array.fill inst.votes 0 n Vote.yes;
       List.iter
         (fun w ->
-          List.iteri
-            (fun j (k, expected) ->
-              let shard = key_owner.(w.w_reads.(j)) in
-              if Kv_store.version stores.(shard) ~key:k <> expected then
-                inst.votes.(shard) <- Vote.no)
-            w.w_txn.Txn.reads;
+          Array.iteri
+            (fun j k ->
+              if Keyspace.version ks k <> w.w_read_vers.(j) then
+                inst.votes.(Keyspace.owner ks k) <- Vote.no)
+            w.w_reads;
           Array.iter (fun k -> lock_add k inst) w.w_writes)
         members;
       slot_put tag inst;
@@ -562,12 +557,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       (match inst.outcome with
       | Some Vote.Commit ->
           List.iter
-            (fun w ->
-              ignore (Kv_store.apply stores.(shard) ~txn_id:w.w_txn.Txn.id))
+            (fun w -> Keyspace.apply ks ~shard ~txn:w.w_id)
             inst.i_members
       | Some Vote.Abort ->
           List.iter
-            (fun w -> Kv_store.discard stores.(shard) ~txn_id:w.w_txn.Txn.id)
+            (fun w -> Keyspace.discard ks ~shard ~txn:w.w_id)
             inst.i_members
       | None -> ());
       lock_release shard inst;
@@ -584,12 +578,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           List.iter
             (fun w ->
               Array.iter
-                (fun k ->
-                  let store = stores.(key_owner.(k)) in
-                  match Kv_store.staged store ~txn_id:w.w_txn.Txn.id with
-                  | Some _ -> atomicity_ok := false
-                  | None -> ())
-                w.w_writes)
+                (fun shard ->
+                  if Keyspace.staged ks ~shard ~txn:w.w_id then
+                    atomicity_ok := false)
+                w.w_owners.shards)
             inst.i_members;
           assert (Queue.is_empty inst.waiters);
           !slots.(Mux.slot inst.tag) <- None;
@@ -717,7 +709,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                        (Sim_time.( - ) !decided_at w.w_submitted))
               | Vote.Abort -> incr aborted);
               (match observe with
-              | Some obs -> obs w.w_txn.Txn.id d0
+              | Some obs -> obs ("t" ^ string_of_int w.w_id) d0
               | None -> ());
               client_resubmit now w.w_client)
             inst.i_members;
@@ -726,11 +718,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       launch_ready now
     in
 
-    (* Allocation-lean transaction generation: pick distinct key *indices*
+    (* Allocation-lean transaction generation: pick distinct key indices
        into a scratch array (same rejection-then-top-rank-fill-then-shuffle
-       procedure as {!Workload.distinct_keys}, same rng consumption), then
-       read the interned names. The write value is the txn id itself — no
-       per-write formatting. *)
+       procedure as {!Workload.distinct_keys}, same rng consumption); the
+       first [reads_per_txn] are read, the rest written. *)
     let nkeys = spec.reads_per_txn + spec.writes_per_txn in
     let scratch = Array.make (max 1 nkeys) 0 in
     let pick_distinct () =
@@ -772,35 +763,23 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       count
     in
     let generate now client =
-      let id = "t" ^ string_of_int !txn_seq in
+      let id = !txn_seq in
       incr txn_seq;
       let count = pick_distinct () in
       let nreads = min spec.reads_per_txn count in
-      let reads =
-        List.init nreads (fun i ->
-            let k = key_names.(scratch.(i)) in
-            (k, Kv_store.version stores.(key_owner.(scratch.(i))) ~key:k))
-      in
-      let writes =
-        List.init (count - nreads) (fun i ->
-            (key_names.(scratch.(nreads + i)), id))
-      in
+      let w_reads = Array.sub scratch 0 nreads in
       let w_writes = Array.sub scratch nreads (count - nreads) in
       let w_keys = Array.sub scratch 0 count in
-      Array.sort
-        (fun a b -> String.compare key_names.(a) key_names.(b))
-        w_keys;
+      Keyspace.sort_names w_keys;
       {
-        w_txn = Txn.make ~id ~reads ~writes ();
+        w_id = id;
         w_client = client;
         w_submitted = now;
         w_keys;
-        w_reads = Array.sub scratch 0 nreads;
+        w_reads;
+        w_read_vers = Array.map (Keyspace.version ks) w_reads;
         w_writes;
-        w_owners =
-          intern_owners
-            (List.sort_uniq Int.compare
-               (Array.to_list (Array.map (fun k -> key_owner.(k)) w_writes)));
+        w_owners = intern_owners (Keyspace.owners ks w_writes);
         w_waits = 0;
       }
     in
@@ -930,10 +909,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           (fun w ->
             Array.iter
               (fun shard ->
-                let still_staged =
-                  Option.is_some
-                    (Kv_store.staged stores.(shard) ~txn_id:w.w_txn.Txn.id)
-                in
+                let still_staged = Keyspace.staged ks ~shard ~txn:w.w_id in
                 let expect_staged =
                   match inst.outcome with
                   | None -> true
@@ -949,11 +925,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        insists it is present there. *)
     let staged_left =
       let acc = ref 0 in
-      Array.iteri
-        (fun i store ->
-          if not down.(i) then
-            acc := !acc + List.length (Kv_store.staged_ids store))
-        stores;
+      for shard = 0 to n - 1 do
+        if not down.(shard) then acc := !acc + Keyspace.staged_count ks ~shard
+      done;
       !acc
     in
     let parked = !issued - !committed - !aborted - !local_aborts in
@@ -1005,6 +979,9 @@ let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
     invalid_arg "Commit_service.run: reads_per_txn < 0";
   if spec.reads_per_txn + spec.writes_per_txn > spec.keys then
     invalid_arg "Commit_service.run: keyspace smaller than a transaction";
+  if spec.keys > Keyspace.max_keys then
+    invalid_arg
+      (Printf.sprintf "Commit_service.run: keys above %d" Keyspace.max_keys);
   if spec.pipeline_depth < 1 then
     invalid_arg "Commit_service.run: pipeline_depth < 1";
   if spec.max_batch < 1 then invalid_arg "Commit_service.run: max_batch < 1";

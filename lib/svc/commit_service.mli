@@ -13,9 +13,14 @@
     The workload is closed-loop: [clients] simulated clients each submit
     a transaction, wait for its decision, think, and submit the next.
     Transactions route to the shards owning their keys (the
-    {!Txn_system.placement_key} hash); writes stage in each owner's
-    {!Kv_store} write-ahead area at instance start and are applied or
-    discarded when the instance decides.
+    {!Txn_system.placement_key} hash of each key's name, computed from
+    its index). The data plane is index-addressed ({!Keyspace}): a
+    transaction is its sequence number, its key indices and the versions
+    it read; a key's version lives in one dense array; writes stage in
+    each owner shard's int-keyed write-ahead table at instance start and
+    are applied or discarded when the instance decides. No key name is
+    built and nothing proportional to the keyspace is computed before a
+    key is drawn.
 
     - {b Batching}: co-resident transactions share one commit instance
       when their write sets land on the same owner set and their key sets
@@ -82,7 +87,10 @@ type spec = {
   txns : int;  (** total transactions to issue across all clients *)
   think_gap : Sim_time.t;
       (** max client think time between decision and next submit *)
-  keys : int;  (** keyspace size, keys "k0" .. "k<keys-1>" *)
+  keys : int;
+      (** keyspace size, keys "k0" .. "k<keys-1>"; at most
+          {!Keyspace.max_keys} (2^24), since each key's owner, version
+          and lock holder live in dense tables *)
   zipf_s : float;
       (** key-popularity exponent, see {!Workload.Zipf.make}; 0 is
           uniform *)
@@ -169,8 +177,9 @@ type stats = {
   wall_seconds : float;
   commits_per_sec : float;  (** committed txns per wall-clock second *)
   minor_words_per_txn : float;
-      (** minor-heap words allocated per issued transaction — the
-          allocation-pressure gauge the soak gate watches *)
+      (** minor-heap words allocated per issued transaction over the
+          whole run, start-up included — the allocation-pressure gauge the
+          soak gate watches *)
   atomicity_ok : bool;  (** the whole-history staging/install check *)
   agreement_ok : bool;  (** no instance saw conflicting decisions *)
 }
@@ -185,7 +194,8 @@ val run :
     per-transaction outcomes across configurations.
     @raise Not_found on an unknown protocol name.
     @raise Invalid_argument on a nonsensical spec (no clients, no writes,
-    [pipeline_depth < 1], [batch_window < 0], [wait_budget < 0],
+    [keys] above {!Keyspace.max_keys}, [pipeline_depth < 1],
+    [batch_window < 0], [wait_budget < 0],
     [election_timeout < 1], an outage before time zero or one that does
     not recover strictly after it goes down, ...), with a message starting
     ["Commit_service.run: "]. *)

@@ -21,14 +21,20 @@ type t = {
 }
 
 (* FNV-1a over the key: deterministic, placement-stable across runs. *)
+let fnv_step h byte = (h lxor byte) * 0x01000193 land 0x3FFFFFFF
+
 let hash_key key =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    key;
-  !h
+  String.fold_left (fun h c -> fnv_step h (Char.code c)) 0x811c9dc5 key
+
+(* [hash_key ("k" ^ string_of_int i)], fed one decimal digit at a time
+   from the most significant, without building the string *)
+let hash_index i =
+  let rec top p = if p > i / 10 then p else top (p * 10) in
+  let rec feed h p =
+    if p = 0 then h
+    else feed (fnv_step h (Char.code '0' + (i / p mod 10))) (p / 10)
+  in
+  feed (fnv_step 0x811c9dc5 (Char.code 'k')) (top 1)
 
 let create ?(consensus = Registry.Paxos) ?(seed = 42) ~n ~f ~protocol () =
   {
@@ -43,6 +49,11 @@ let create ?(consensus = Registry.Paxos) ?(seed = 42) ~n ~f ~protocol () =
   }
 
 let placement_key ~n key = Pid.of_index (hash_key key mod n)
+
+let placement_index ~n i =
+  if i < 0 then invalid_arg "Txn_system.placement_index: negative index";
+  Pid.of_index (hash_index i mod n)
+
 let placement t key = placement_key ~n:t.n key
 let size t = t.n
 let node_store t pid = t.nodes.(Pid.index pid)

@@ -55,6 +55,12 @@ val placement_key : n:int -> string -> Pid.t
     usable without a [t] — the multi-shot commit service shards by the
     same function so both layers agree on key ownership. *)
 
+val placement_index : n:int -> int -> Pid.t
+(** [placement_index ~n i] is [placement_key ~n ("k" ^ string_of_int i)],
+    hashed digit by digit without building the name — how the service's
+    {!Keyspace} places key [i].
+    @raise Invalid_argument when [i < 0]. *)
+
 val size : t -> int
 (** The number of database nodes [n]. *)
 

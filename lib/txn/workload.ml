@@ -42,30 +42,40 @@ type stats = {
 }
 
 module Zipf = struct
+  (* [cdf] is empty at s = 0: pow(x, 0) = 1 and sums of 1.0 are exact, so
+     the CDF there is exactly fl((i+1)/keys) and needs no table *)
   type t = { keys : int; s : float; cdf : float array }
 
   let make ~keys ~s =
     if keys < 1 then invalid_arg "Workload.Zipf.make: keys < 1";
     let s = if Float.is_nan s || s < 0.0 then 0.0 else s in
-    let cdf = Array.make keys 0.0 in
-    let acc = ref 0.0 in
-    for i = 0 to keys - 1 do
-      acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
-      cdf.(i) <- !acc
-    done;
-    let total = !acc in
-    for i = 0 to keys - 1 do
-      cdf.(i) <- cdf.(i) /. total
-    done;
-    cdf.(keys - 1) <- 1.0;
-    { keys; s; cdf }
+    if s = 0.0 then { keys; s; cdf = [||] }
+    else begin
+      let cdf = Array.make keys 0.0 in
+      let acc = ref 0.0 in
+      for i = 0 to keys - 1 do
+        acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
+        cdf.(i) <- !acc
+      done;
+      let total = !acc in
+      for i = 0 to keys - 1 do
+        cdf.(i) <- cdf.(i) /. total
+      done;
+      cdf.(keys - 1) <- 1.0;
+      { keys; s; cdf }
+    end
 
   let uniform ~keys = make ~keys ~s:0.0
   let keys t = t.keys
   let s t = t.s
+  let closed_form t = Array.length t.cdf = 0
+  let uniform_cdf t i = float_of_int (i + 1) /. float_of_int t.keys
 
   let mass_top t h =
-    if h <= 0 then 0.0 else if h >= t.keys then 1.0 else t.cdf.(h - 1)
+    if h <= 0 then 0.0
+    else if h >= t.keys then 1.0
+    else if closed_form t then uniform_cdf t (h - 1)
+    else t.cdf.(h - 1)
 
   (* The legacy knob: "the hot_keys most popular keys receive
      hot_fraction of the accesses" translated into the unique Zipf
@@ -88,14 +98,33 @@ module Zipf = struct
       make ~keys ~s:(bisect 0.0 32.0 48)
     end
 
-  let index t rng =
-    let r = Rng.float rng in
-    let lo = ref 0 and hi = ref (t.keys - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.cdf.(mid) < r then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  (* The smallest rank whose CDF value is not below [r] (the last rank
+     when there is none). At s = 0 the exact quotient puts it at
+     ceil(r * keys) - 1; the walks correct that guess for rounding, one
+     step at most in either direction for r in [0, 1). *)
+  let rank t r =
+    if closed_form t then begin
+      let last = t.keys - 1 in
+      let guess = int_of_float (Float.ceil (r *. float_of_int t.keys)) - 1 in
+      let i = ref (max 0 (min last guess)) in
+      while !i > 0 && not (uniform_cdf t (!i - 1) < r) do
+        decr i
+      done;
+      while !i < last && uniform_cdf t !i < r do
+        incr i
+      done;
+      !i
+    end
+    else begin
+      let lo = ref 0 and hi = ref (t.keys - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if t.cdf.(mid) < r then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    end
+
+  let index t rng = rank t (Rng.float rng)
 
   let pick t rng = Printf.sprintf "k%d" (index t rng)
 end

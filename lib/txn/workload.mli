@@ -7,10 +7,13 @@
 module Zipf : sig
   (** Zipf(s) key popularity over a keyspace "k0" .. "k<keys-1>": rank
       [i] (0-based) is drawn with probability proportional to
-      [1 / (i+1)^s]. The CDF is precomputed at construction, so a draw
-      is one uniform variate plus a binary search. [s = 0] is the
-      uniform distribution; the legacy binary hot-set knob maps onto an
-      equivalent exponent through {!of_hot}. *)
+      [1 / (i+1)^s]. For [s > 0] the CDF is precomputed at construction,
+      so a draw is one uniform variate plus a binary search. [s = 0] is
+      the uniform distribution, whose CDF has the closed form
+      [fl((i+1)/keys)]: it is built in constant time and a draw is one
+      uniform variate, one multiply and a one-step correction, landing on
+      the rank a binary search over that CDF would. The legacy binary
+      hot-set knob maps onto an equivalent exponent through {!of_hot}. *)
 
   type t
 
@@ -37,8 +40,13 @@ module Zipf : sig
   (** [mass_top t h] is the probability mass of the [h] most popular
       keys (0 when [h <= 0], 1 when [h >= keys]). *)
 
+  val rank : t -> float -> int
+  (** [rank t r] is the 0-based rank a uniform variate [r] in \[0, 1)
+      draws: the smallest rank whose CDF value is not below [r] (the
+      last rank when none is). *)
+
   val index : t -> Rng.t -> int
-  (** One popularity-ranked draw, as a 0-based rank. *)
+  (** One popularity-ranked draw: [rank t (Rng.float rng)]. *)
 
   val pick : t -> Rng.t -> string
   (** [index] rendered as its key "k<rank>". *)

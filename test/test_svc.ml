@@ -586,6 +586,8 @@ let test_spec_validation () =
     (invalid { small with Commit_service.reads_per_txn = -1 });
   check tbool "keyspace smaller than a transaction" true
     (invalid { small with Commit_service.keys = 3 });
+  check tbool "keyspace above the dense-table bound" true
+    (invalid { small with Commit_service.keys = Keyspace.max_keys + 1 });
   check tbool "wait budget < 0" true
     (invalid { small with Commit_service.wait_budget = -1 });
   check tbool "flush every < 0" true
@@ -609,7 +611,8 @@ let test_spec_validation () =
    decision of these runs shows in some counter or delay summary, so any
    change to admission order, batch membership or lock bookkeeping moves
    a byte here. The third spec has 66 shards, past any one-word owner-set
-   bitmask. *)
+   bitmask; the fourth draws uniformly (s = 0, the closed-form draw) over
+   a keyspace far wider than the others'. *)
 let test_golden_arm_bodies () =
   let contended =
     {
@@ -653,6 +656,17 @@ let test_golden_arm_bodies () =
         },
         {|"transactions": 400, "committed": 112, "aborted": 275, "local_aborts": 13, "queued": 372, "parked": 0, "instances": 387, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.000000, "peak_in_flight": 18, "messages": 50310, "staged_left": 0, "abort_rate": 0.720000, "goodput": 0.280000, "zipf_s": 0.570462, "latency_delays": {"mean": 13.939098, "p50": 9.390000, "p95": 35.073000, "p99": 89.128000, "max": 164.000000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 63.446980, "p50": 65.000000, "p95": 114.000000, "p99": 116.000000, "max": 118.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
+      ( "inbac n=5 f=2, uniform over 65536 keys",
+        ("inbac", 5, 2),
+        {
+          Commit_service.default with
+          Commit_service.clients = 256;
+          txns = 2000;
+          keys = 65536;
+          zipf_s = 0.0;
+        },
+        {|"transactions": 2000, "committed": 1926, "aborted": 74, "local_aborts": 0, "queued": 33, "parked": 0, "instances": 443, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 4.514673, "peak_in_flight": 51, "messages": 8860, "staged_left": 0, "abort_rate": 0.037000, "goodput": 0.963000, "zipf_s": 0.000000, "latency_delays": {"mean": 2.295075, "p50": 2.294000, "p95": 2.500000, "p99": 2.500000, "max": 4.803000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 2.636364, "p50": 2.000000, "p95": 5.000000, "p99": 6.000000, "max": 6.000000}, "atomicity_ok": true, "agreement_ok": true|}
+      );
     ]
   in
   List.iter
@@ -660,6 +674,27 @@ let test_golden_arm_bodies () =
       let s = Commit_service.run ~protocol ~n ~f spec in
       check Alcotest.string name expected (Commit_service.arm_json_body s))
     pins
+
+(* Start-up does no per-key work, and the allocation gauge starts at the
+   top of the run: one transaction over 2^20 keys stays within a few
+   thousand minor words (a name table for the keyspace is ~10.6M). *)
+let test_startup_allocation () =
+  let s =
+    Commit_service.run ~protocol:"inbac" ~n:3 ~f:1
+      {
+        Commit_service.default with
+        Commit_service.clients = 1;
+        txns = 1;
+        keys = 1 lsl 20;
+        zipf_s = 0.0;
+      }
+  in
+  check tint "the transaction ran" 1 s.Commit_service.transactions;
+  check tbool
+    (Printf.sprintf "%.0f minor words for one transaction over 2^20 keys"
+       s.Commit_service.minor_words_per_txn)
+    true
+    (s.Commit_service.minor_words_per_txn <= 20000.0)
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -688,6 +723,7 @@ let () =
             test_parallel_arms_byte_identical;
           quick "spec validation" test_spec_validation;
           quick "golden arm bodies" test_golden_arm_bodies;
+          quick "start-up allocation" test_startup_allocation;
           prop qcheck_election_differential;
         ] );
       ( "queued-admission",

@@ -44,6 +44,103 @@ let test_store_apply_atomic () =
     (Kv_store.keys s)
 
 (* ------------------------------------------------------------------ *)
+(* Keyspace: the service's dense store *)
+
+let test_keyspace_store () =
+  let n = 3 in
+  let ks = Keyspace.create ~n ~keys:64 in
+  (* two keys on different shards *)
+  let a = 0 in
+  let b =
+    let rec find k =
+      if Keyspace.owner ks k <> Keyspace.owner ks a then k else find (k + 1)
+    in
+    find 1
+  in
+  let sa = Keyspace.owner ks a and sb = Keyspace.owner ks b in
+  check tint "owner is the placement of the name"
+    (Pid.index (Txn_system.placement_key ~n ("k" ^ string_of_int b)))
+    sb;
+  check (Alcotest.array tint) "owners: distinct, ascending"
+    [| min sa sb; max sa sb |]
+    (Keyspace.owners ks [| b; a; b; a |]);
+  check (Alcotest.array tint) "owners of one shard's keys" [| sa |]
+    (Keyspace.owners ks [| a; a |]);
+  Keyspace.stage ks ~shard:sa ~txn:7 ~writes:[| a; b |];
+  Keyspace.stage ks ~shard:sb ~txn:7 ~writes:[| a; b |];
+  Keyspace.stage ks ~shard:sa ~txn:8 ~writes:[| a |];
+  check tbool "staged at a's owner" true (Keyspace.staged ks ~shard:sa ~txn:7);
+  check tint "two entries at a's owner" 2 (Keyspace.staged_count ks ~shard:sa);
+  Keyspace.apply ks ~shard:sa ~txn:7;
+  check tint "apply at a's owner bumps a" 1 (Keyspace.version ks a);
+  check tint "and not b, owned elsewhere" 0 (Keyspace.version ks b);
+  check tbool "entry gone" false (Keyspace.staged ks ~shard:sa ~txn:7);
+  Keyspace.apply ks ~shard:sa ~txn:7;
+  check tint "a second apply is a no-op" 1 (Keyspace.version ks a);
+  Keyspace.apply ks ~shard:sb ~txn:7;
+  check tint "b's owner installs b" 1 (Keyspace.version ks b);
+  Keyspace.discard ks ~shard:sa ~txn:8;
+  check tint "discard installs nothing" 1 (Keyspace.version ks a);
+  check tint "drained" 0
+    (Keyspace.staged_count ks ~shard:sa + Keyspace.staged_count ks ~shard:sb);
+  Alcotest.match_raises "keys above max_keys"
+    (function Invalid_argument _ -> true | _ -> false)
+    (fun () -> ignore (Keyspace.create ~n ~keys:(Keyspace.max_keys + 1)))
+
+let name i = "k" ^ string_of_int i
+let sign x = compare x 0
+
+let prop_placement_index =
+  let edges = [ 0; 1; 9; 10; 99; 100; 999_999; 1_000_000; 1 lsl 24 ] in
+  QCheck.Test.make ~count:2000
+    ~name:"placement_index = placement_key of the name"
+    QCheck.(
+      pair (oneof [ int_range 0 (1 lsl 24); oneofl edges ]) (int_range 2 70))
+    (fun (i, n) ->
+      Pid.equal (Txn_system.placement_index ~n i)
+        (Txn_system.placement_key ~n (name i)))
+
+let prop_name_order =
+  (* indices of every digit count, plus pairs where one name is a prefix
+     of the other *)
+  let index =
+    QCheck.(
+      oneof
+        [
+          int_range 0 9;
+          int_range 0 1000;
+          int_range 0 (1 lsl 24);
+          oneofl [ 0; 1; 4; 10; 40; 100; 400; 1_000; 4_000_000; max_int ];
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"compare_names orders as String.compare"
+    (QCheck.pair index index)
+    (fun (a, b) ->
+      sign (Keyspace.compare_names a b)
+      = sign (String.compare (name a) (name b)))
+
+let test_name_order_prefixes () =
+  List.iter
+    (fun (a, b) ->
+      check tint
+        (Printf.sprintf "%s vs %s" (name a) (name b))
+        (sign (String.compare (name a) (name b)))
+        (sign (Keyspace.compare_names a b)))
+    [
+      (4, 40); (40, 400); (4, 400); (400, 4); (0, 10); (10, 0); (1, 10);
+      (10, 100); (1, 100); (100, 1); (9, 10); (19, 2); (2, 19); (7, 7);
+    ];
+  let keys = [| 400; 4; 10; 0; 40; 100; 1; 9; 19 |] in
+  let by_name =
+    List.sort
+      (fun a b -> String.compare (name a) (name b))
+      (Array.to_list keys)
+  in
+  Keyspace.sort_names keys;
+  check (Alcotest.list tint) "sort_names is name order" by_name
+    (Array.to_list keys)
+
+(* ------------------------------------------------------------------ *)
 (* Txn *)
 
 let test_txn_validation () =
@@ -387,6 +484,77 @@ let prop_zipf_draws_in_range_and_skewed =
          tolerance of the analytic CDF mass *)
       !ok && Float.abs (got -. expect) < 0.06)
 
+(* The s = 0 draw against the CDF a table-building Zipf would hold
+   (accumulated 1/(i+1)^0, normalized, last entry 1) and a binary search
+   over it: at seeded variates, at every boundary value fl(i/keys) and its
+   neighbours, and for [mass_top] at every h. *)
+let reference_cdf keys =
+  let cdf = Array.make keys 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to keys - 1 do
+    acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) 0.0);
+    cdf.(i) <- !acc
+  done;
+  let total = !acc in
+  Array.iteri (fun i c -> cdf.(i) <- c /. total) cdf;
+  cdf.(keys - 1) <- 1.0;
+  cdf
+
+let reference_rank cdf r =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) < r then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* every exponent in [exps] clamps to the closed-form draw *)
+let uniform_draw_matches ~keys ~exps ~seed =
+  let cdf = reference_cdf keys in
+  let ds = List.map (fun s -> Workload.Zipf.make ~keys ~s) exps in
+  let agrees r =
+    let expect = reference_rank cdf r in
+    List.for_all (fun d -> Workload.Zipf.rank d r = expect) ds
+  in
+  let ok = ref (List.for_all (fun d -> Workload.Zipf.s d = 0.0) ds) in
+  for h = -1 to keys + 1 do
+    let expect =
+      if h <= 0 then 0.0 else if h >= keys then 1.0 else cdf.(h - 1)
+    in
+    if List.exists (fun d -> Workload.Zipf.mass_top d h <> expect) ds then
+      ok := false
+  done;
+  for i = 0 to keys do
+    let r = float_of_int i /. float_of_int keys in
+    if not (agrees r && agrees (Float.pred r) && agrees (Float.succ r)) then
+      ok := false
+  done;
+  List.iter
+    (fun d ->
+      let rng = Rng.create seed and shadow = Rng.create seed in
+      for _ = 1 to 500 do
+        if Workload.Zipf.index d rng <> reference_rank cdf (Rng.float shadow)
+        then ok := false
+      done)
+    ds;
+  !ok
+
+let uniform_exponents = [ 0.0; -0.0; Float.nan; -1.0 ]
+
+let test_uniform_draw_pinned_sizes () =
+  List.iter
+    (fun keys ->
+      check tbool
+        (Printf.sprintf "keys %d" keys)
+        true
+        (uniform_draw_matches ~keys ~exps:uniform_exponents ~seed:keys))
+    [ 1; 2; 3; 10; 64; 65536; 1 lsl 20 ]
+
+let prop_uniform_draw =
+  QCheck.Test.make ~count:100 ~name:"s = 0 draw = binary search over its CDF"
+    QCheck.(triple (int_range 1 5000) (oneofl uniform_exponents) small_int)
+    (fun (keys, s, seed) -> uniform_draw_matches ~keys ~exps:[ s ] ~seed)
+
 let prop_distinct_keys_unique_and_terminates =
   QCheck.Test.make ~count:200
     ~name:"distinct_keys: distinct, in range, terminates at every count"
@@ -588,6 +756,13 @@ let () =
           quick "restage replaces" test_store_restage_replaces;
           quick "apply atomic" test_store_apply_atomic;
         ] );
+      ( "keyspace",
+        [
+          quick "dense store" test_keyspace_store;
+          quick "name order prefixes" test_name_order_prefixes;
+          prop prop_placement_index;
+          prop prop_name_order;
+        ] );
       ("txn", [ quick "validation" test_txn_validation ]);
       ( "system",
         [
@@ -617,7 +792,9 @@ let () =
           quick "construction" test_zipf_construction;
           quick "of_hot inverts" test_zipf_of_hot_inverts;
           quick "distinct_keys edge counts" test_distinct_keys_edge_counts;
+          quick "uniform draw at pinned sizes" test_uniform_draw_pinned_sizes;
           prop prop_zipf_draws_in_range_and_skewed;
+          prop prop_uniform_draw;
           prop prop_distinct_keys_unique_and_terminates;
         ] );
       ( "histogram",
