@@ -240,35 +240,34 @@ let json_flag =
   in
   scan argv
 
-let min_mc_floor =
+(* A gate flag's threshold ([Gate.threshold]). A value that is not a
+   number, is NaN or is negative, or a missing value, exits 2 with one
+   [bench:] line: read as "no gate" it would let every run pass. *)
+let gate_flag flag =
+  let refuse msg =
+    Printf.eprintf "bench: %s: %s\n" flag msg;
+    exit 2
+  in
   let rec scan = function
-    | "--min-mc-states-per-sec" :: v :: _ -> float_of_string_opt v
+    | f :: v :: _ when String.equal f flag -> (
+        match Gate.threshold v with Ok x -> Some x | Error msg -> refuse msg)
+    | [ f ] when String.equal f flag -> refuse "missing value"
     | _ :: rest -> scan rest
     | [] -> None
   in
   scan argv
+
+let min_mc_floor = gate_flag "--min-mc-states-per-sec"
 
 (* Multi-core acceptance gate: fail when the swarm arm at jobs=4 is not
    at least this much faster (wall-clock) than the sequential jobs=1
    per-item baseline. Only meaningful on a runner with 4+ cores — the
    CI multi-core leg passes 1.0; the 1-core smoke leg omits the flag. *)
-let min_swarm_speedup =
-  let rec scan = function
-    | "--min-swarm-j4-speedup" :: v :: _ -> float_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
+let min_swarm_speedup = gate_flag "--min-swarm-j4-speedup"
 
 (* Multi-shot service floor: fail when any multishot arm's committed
    transactions per wall-clock second fall below this. *)
-let min_multishot_floor =
-  let rec scan = function
-    | "--min-multishot-commits-per-sec" :: v :: _ -> float_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
+let min_multishot_floor = gate_flag "--min-multishot-commits-per-sec"
 
 (* Multi-shot workload scale: how many closed-loop clients and total
    transactions each multishot arm runs. The defaults keep the smoke run
@@ -310,26 +309,14 @@ let soak_txns =
 
 (* Allocation ceiling for the soak arm: fail when it allocates more
    minor-heap words per issued transaction than this. *)
-let max_minor_words =
-  let rec scan = function
-    | "--max-minor-words-per-txn" :: v :: _ -> float_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
+let max_minor_words = gate_flag "--max-minor-words-per-txn"
 
 (* Symmetry-reduction gate: fail when the best measured symmetry-on vs
    symmetry-off state-count ratio falls below this. The crash-class arm
    is the headline (~9.6x at inbac n=4 f=1); the network-class arm has
    no crash candidates to twin-prune and its order-2 process group caps
    it near ~3.9x, so the gate reads the best arm and reports all. *)
-let min_symmetry_reduction =
-  let rec scan = function
-    | "--min-symmetry-reduction" :: v :: _ -> float_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
+let min_symmetry_reduction = gate_flag "--min-symmetry-reduction"
 
 (* NxF pairs for the timed table regenerations; defaults to a tiny pair
    list so the smoke run stays cheap. *)

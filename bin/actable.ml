@@ -70,6 +70,12 @@ let delays_conv =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A floor or ceiling some measured figure must meet: refused at parse
+   time when NaN or negative ([Gate.threshold]). *)
+let threshold_conv =
+  let parse s = Result.map_error (fun m -> `Msg m) (Gate.threshold s) in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 (* Ranks start at 1; whether a rank names one of the run's n processes
    is checked once n is known ([check_system]). *)
 let rank_of_string s =
@@ -484,7 +490,7 @@ let txserve_cmd =
   let floor_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some threshold_conv) None
       & info
           [ "min-multishot-commits-per-sec" ]
           ~docv:"X"
@@ -531,7 +537,7 @@ let txserve_cmd =
   let words_ceiling_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some threshold_conv) None
       & info
           [ "max-minor-words-per-txn" ]
           ~docv:"X"

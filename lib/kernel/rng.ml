@@ -1,35 +1,44 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh int64 on every draw. [next] is inlined into each
+   drawing function, so the state's load, the mix and the derived value
+   stay unboxed end to end and a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
 
-let split t = { state = mix64 (next64 t) }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let next64 t = next t
+let split t = of_state (mix64 (next t))
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (next64 t) mask) in
-  v mod bound
+  Int64.to_int (Int64.logand (next t) (Int64.of_int max_int)) mod bound
 
 let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t ~bound:(hi - lo + 1)
 
-let bool t = Int64.logand (next64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let float t =
-  let v = Int64.shift_right_logical (next64 t) 11 in
+  let v = Int64.shift_right_logical (next t) 11 in
   Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
 
 let shuffle t xs =

@@ -1247,14 +1247,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* The historical backend, verbatim up to the digest representation:
      marshal everything, MD5 the bytes. Kept as the semantic reference
      the hashed backend is pinned against (CI compares mctable counters
-     across backends). *)
+     across backends). Marshalled with [No_sharing], so the bytes depend
+     on values only: a state whose parts are physically shared (a vote
+     set handed on uncopied) marshals like its copied twin. *)
   let fingerprint_marshal ctx =
     let n = ctx.cfg.n in
     let procs =
       List.init n (fun i ->
           let p = Pid.of_index i in
-          ( Marshal.to_string (M.pstate ctx.m p) [],
-            Marshal.to_string (M.cstate ctx.m p) [],
+          ( Marshal.to_string (M.pstate ctx.m p) [ Marshal.No_sharing ],
+            Marshal.to_string (M.cstate ctx.m p) [ Marshal.No_sharing ],
             M.is_crashed ctx.m p,
             Option.map snd (M.decisions ctx.m).(i),
             M.cons_handed ctx.m p ))
@@ -1267,7 +1269,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                Pid.index mg.src,
                Pid.index mg.dst,
                is_overtaken ctx mg,
-               Marshal.to_string mg.payload [] ))
+               Marshal.to_string mg.payload [ Marshal.No_sharing ] ))
            ctx.pending_msgs)
     in
     let timers =
@@ -1287,7 +1289,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            procs,
            msgs,
            timers )
-         [])
+         [ Marshal.No_sharing ])
 
   let fingerprint ctx =
     match ctx.cfg.fp with

@@ -58,6 +58,37 @@ let backups env =
       (Proto_util.first_ranked (f + 1))
   else Proto_util.first_ranked f
 
+(* Whether [sender]'s [C] acknowledgement in [collection1] binds
+   [P1..Pk]. *)
+let rec ack_covers sender k = function
+  | [] -> false
+  | (q, c) :: rest ->
+      if Pid.equal q sender then Vset.covers_first k c
+      else ack_covers sender k rest
+
+(* The [C] acknowledgements the process of rank [rank] must have received,
+   with the vote coverage each must exhibit, for a direct decision at 2U,
+   checked in rank order:
+   - from every P_j, j <= f, other than itself: all n votes;
+   - and, when it has rank <= f, from P_{f+1}: the votes of P1..Pf
+     (P_{f+1} backs up exactly those), unless [naive_backups] leaves
+     P_{f+1} nothing to acknowledge.
+   [ack_undershoot] stops one requirement short: the last (highest
+   ranked) is not awaited. *)
+let acks_complete ~ack_undershoot ~naive_backups ~n ~f ~rank collection1 =
+  let required =
+    (if rank <= f then if naive_backups then f - 1 else f else f)
+    - if ack_undershoot then 1 else 0
+  in
+  let rec from j left =
+    left <= 0
+    || (if j > f then ack_covers (Pid.of_rank (f + 1)) f collection1
+        else if j = rank then from (j + 1) left
+        else
+          ack_covers (Pid.of_rank j) n collection1 && from (j + 1) (left - 1))
+  in
+  from 1 required
+
 module Make (Cfg : CONFIG) = struct
   type phase = Phase0 | Phase1 | Phase2
 
@@ -115,10 +146,16 @@ module Make (Cfg : CONFIG) = struct
       pending_help = [];
     }
 
-  let phase_note p =
-    Proto.Note
-      ( "phase",
-        match p with Phase0 -> "0" | Phase1 -> "1" | Phase2 -> "2" )
+  (* Actions that read nothing of a step are built once, here: a step
+     allocates only the actions that carry its state. *)
+  let note_phase0 = Proto.Note ("phase", "0")
+  let note_phase1 = Proto.Note ("phase", "1")
+  let note_phase2 = Proto.Note ("phase", "2")
+
+  let timer_phase0 = Proto_util.timer_at "phase0" 1
+  let timer_phase1 = Proto_util.timer_at "phase1" 2
+  let note_direct = Proto.Note ("decide-path", "direct")
+  let note_consensus = Proto.Note ("decide-path", "consensus")
 
   (* A decided process has no use for its remaining phase alarms; without
      this, a fast-abort decision at time 0 still fires (no-op) timeouts at
@@ -126,74 +163,49 @@ module Make (Cfg : CONFIG) = struct
   let cancel_phase_timers =
     [ Proto.Cancel_timer "phase0"; Proto.Cancel_timer "phase1" ]
 
+  let fast_abort_decision =
+    Proto.Note ("decide-path", "fast-abort")
+    :: Proto_util.decide Vote.abort :: cancel_phase_timers
+
+  (* entering a phase: its timer and its note; [start_phase1] also
+     follows the [C] acknowledgements of the phase-0 timeout *)
+  let start_phase0 = [ timer_phase0; note_phase0 ]
+  let start_phase1 = [ timer_phase1; note_phase1 ]
+  let start_phase2 = [ note_phase2 ]
+  let fast_abort_phase0 = fast_abort_decision @ [ note_phase0 ]
+  let fast_abort_phase1 = fast_abort_decision @ [ note_phase1 ]
+
   let on_propose env state v =
     let i = Proto_util.rank env in
     let f = env.Proto.f in
-    let state = { state with vote = v; collection0 = Vset.singleton env.Proto.self v } in
-    let vote_sends =
-      (* every process backs its vote up at P1..Pf; P_i with i <= f also
-         at P_{f+1} (so that it reaches f backups other than itself) *)
-      Proto_util.send_each (Proto_util.first_ranked f) (V v)
-      @
-      if i <= f && not Cfg.naive_backups then
-        [ Proto_util.send (Pid.of_rank (f + 1)) (V v) ]
-      else []
-    in
-    let timers =
-      if i <= f + 1 then [ Proto_util.timer_at "phase0" 1 ]
-      else [ Proto_util.timer_at "phase1" 2 ]
-    in
+    let low = i <= f + 1 in
+    let fast = Cfg.fast_abort && Vote.equal v Vote.no in
     let state =
-      if i <= f + 1 then state else { state with phase = Phase1 }
+      {
+        state with
+        vote = v;
+        collection0 = Vset.singleton env.Proto.self v;
+        phase = (if low then state.phase else Phase1);
+        decided = state.decided || fast;
+      }
     in
-    let fast =
-      if Cfg.fast_abort && Vote.equal v Vote.no then
-        Proto_util.broadcast_others env (V Vote.no)
-        @ [ Proto.Note ("decide-path", "fast-abort"); Proto_util.decide Vote.abort ]
-        @ cancel_phase_timers
-      else []
+    let tail =
+      if not fast then if low then start_phase0 else start_phase1
+      else
+        (if low then timer_phase0 else timer_phase1)
+        :: Proto_util.send_ranks ~skip:i ~lo:1 ~hi:env.Proto.n (V Vote.no)
+             (if low then fast_abort_phase0 else fast_abort_phase1)
     in
-    let state =
-      if Cfg.fast_abort && Vote.equal v Vote.no then
-        { state with decided = true }
-      else state
-    in
-    (state, vote_sends @ timers @ fast @ [ phase_note state.phase ])
-
-  (* The [C] acknowledgements this process must have received, with the
-     vote coverage each must exhibit, for a direct decision at 2U:
-     - from every P_j, j <= f (other than itself): all n votes;
-     - and, when this process has rank <= f, from P_{f+1}: the votes of
-       P1..Pf (P_{f+1} backs up exactly those). *)
-  let expected_acks env =
-    let f = env.Proto.f in
-    let i = Proto_util.rank env in
-    let full = Pid.all ~n:env.Proto.n in
-    let first_f = Proto_util.first_ranked f in
-    let of_peer j = (Pid.of_rank j, full) in
-    let acks =
-      if i <= f then
-        List.filter_map
-          (fun j -> if j = i then None else Some (of_peer j))
-          (List.init f (fun k -> k + 1))
-        @
-        if Cfg.naive_backups then [] (* P_{f+1} holds nothing to ack *)
-        else [ (Pid.of_rank (f + 1), first_f) ]
-      else List.map of_peer (List.init f (fun k -> k + 1))
-    in
-    if Cfg.ack_undershoot then
-      (* drop the last (highest-ranked) requirement: f-1 acks suffice *)
-      match List.rev acks with [] -> [] | _ :: rest -> List.rev rest
-    else acks
-
-  let ack_ok state (sender, coverage) =
-    match List.assoc_opt sender state.collection1 with
-    | None -> false
-    | Some coll -> Vset.covers coll coverage
+    (* every process backs its vote up at P1..Pf; P_i with i <= f also
+       at P_{f+1} (so that it reaches f backups other than itself) *)
+    let last = if i <= f && not Cfg.naive_backups then f + 1 else f in
+    (state, Proto_util.send_ranks ~skip:0 ~lo:1 ~hi:last (V v) tail)
 
   let can_decide_directly env state =
     let i = Proto_util.rank env in
-    List.for_all (ack_ok state) (expected_acks env)
+    acks_complete ~ack_undershoot:Cfg.ack_undershoot
+      ~naive_backups:Cfg.naive_backups ~n:env.Proto.n ~f:env.Proto.f ~rank:i
+      state.collection1
     && (i > env.Proto.f
        ||
        (* a low rank is itself a backup: its own consolidated [C] must
@@ -221,10 +233,7 @@ module Make (Cfg : CONFIG) = struct
 
   let propose_actions state proposal =
     ( { state with proposed = true },
-      [
-        Proto.Note ("decide-path", "consensus");
-        Proto.Propose_consensus proposal;
-      ] )
+      [ note_consensus; Proto.Propose_consensus proposal ] )
 
   let direct_decision _env state =
     (* the acknowledgements checked by [can_decide_directly] carry the
@@ -233,8 +242,7 @@ module Make (Cfg : CONFIG) = struct
        from the help-quorum guard on a late [C]) *)
     let d = first_binding_conjunction state.collection0 state.collection1 in
     ( { state with decided = true },
-      [ Proto.Note ("decide-path", "direct"); Proto_util.decide_vote d ]
-      @ cancel_phase_timers )
+      note_direct :: Proto_util.decide_vote d :: cancel_phase_timers )
 
   (* The decision logic shared by the phase-1 timeout and the help-quorum
      guard. Precondition: [state.phase = Phase2], collections merged. *)
@@ -263,7 +271,7 @@ module Make (Cfg : CONFIG) = struct
       (* no acknowledgement at all: ask {P_{f+1}..Pn} (self included —
          the self-addressed HELP is answered immediately and free) *)
       let state = { state with wait = true } in
-      (state, Proto_util.send_each (Proto_util.ranked_from env (f + 1)) Help)
+      (state, Proto_util.send_ranks ~skip:0 ~lo:(f + 1) ~hi:n Help [])
     end
 
   let on_timeout env state ~id =
@@ -271,32 +279,39 @@ module Make (Cfg : CONFIG) = struct
     | "phase0" when state.phase = Phase0 ->
         let i = Proto_util.rank env in
         let f = env.Proto.f in
-        let targets =
-          if i <= f then Pid.others ~n:env.Proto.n env.Proto.self
-          else if Cfg.naive_backups then [] (* not a backup of anyone *)
-          else Proto_util.first_ranked f
+        (* P_i with i <= f acknowledges to every other process, P_{f+1}
+           to P1..Pf *)
+        let last =
+          if i <= f then env.Proto.n
+          else if Cfg.naive_backups then 0 (* not a backup of anyone *)
+          else f
         in
-        let sends =
-          if state.decided then []
+        let actions =
+          if state.decided then start_phase1
             (* fast-abort already settled this process; skip the acks *)
-          else Proto_util.send_each targets (C state.collection0)
+          else
+            Proto_util.send_ranks ~skip:i ~lo:1 ~hi:last (C state.collection0)
+              start_phase1
         in
         let state =
           { state with phase = Phase1; sent_ack = Some state.collection0 }
         in
-        (state, sends @ [ Proto_util.timer_at "phase1" 2; phase_note Phase1 ])
+        (state, actions)
     | "phase1" when state.phase = Phase1 ->
         let state = enter_phase2 env state in
-        if state.decided || state.proposed then
-          (state, [ phase_note Phase2 ])
+        if state.decided || state.proposed then (state, start_phase2)
         else begin
           let state, actions = attempt_decision env state in
-          (state, phase_note Phase2 :: actions)
+          (state, note_phase2 :: actions)
         end
     | "phase0" | "phase1" -> (state, [])
     | other -> failwith ("Inbac: unknown timer " ^ other)
 
   let answer_help state p = Proto_util.send p (Helped state.collection0)
+
+  let rec acked_by p = function
+    | [] -> false
+    | (q, _) :: rest -> Pid.equal p q || acked_by p rest
 
   let on_deliver env state ~src msg =
     let i = Proto_util.rank env in
@@ -310,13 +325,10 @@ module Make (Cfg : CONFIG) = struct
         in
         if
           Cfg.fast_abort && Vote.equal v Vote.no && not state.decided
-        then
-          ( { state with decided = true },
-            [ Proto.Note ("decide-path", "fast-abort"); Proto_util.decide Vote.abort ]
-            @ cancel_phase_timers )
+        then ({ state with decided = true }, fast_abort_decision)
         else (state, [])
     | C coll ->
-        if List.mem_assoc src state.collection1 then (state, [])
+        if acked_by src state.collection1 then (state, [])
         else
           ( {
               state with

@@ -53,6 +53,19 @@ include Proto.PROTOCOL
 val backups : Proto.env -> Pid.t list
 (** The backup set [B_P] of the calling process, exposed for tests. *)
 
+val acks_complete :
+  ack_undershoot:bool -> naive_backups:bool -> n:int -> f:int -> rank:int ->
+  (Pid.t * Vset.t) list -> bool
+(** [acks_complete ~ack_undershoot ~naive_backups ~n ~f ~rank collection1]:
+    whether [collection1] (a [(sender, set)] list of received [C]
+    acknowledgements) holds every acknowledgement the process of rank
+    [rank] awaits for a direct decision at 2U, each with its coverage:
+    all [n] votes from every [P_j], [j <= f], other than itself, and, for
+    a rank [<= f], the votes of [P1..Pf] from [P_{f+1}] (not awaited
+    under [naive_backups]). [ack_undershoot] drops the last, highest
+    ranked, requirement. One loop over ranks, with no list of
+    requirements built; exposed for tests. *)
+
 val first_binding_conjunction : Vset.t -> (Pid.t * Vset.t) list -> Vote.t
 (** [first_binding_conjunction collection0 collection1] is the vote a
     direct decision takes: the conjunction of [collection0] united with

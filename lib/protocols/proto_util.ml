@@ -2,23 +2,30 @@
 
 let send q m = Proto.Send (q, m)
 
-let send_each pids m = List.map (fun q -> Proto.Send (q, m)) pids
+(* plain recursions, not [List.map]: a partial application would
+   allocate a closure per call *)
+let rec send_each pids m =
+  match pids with [] -> [] | q :: rest -> Proto.Send (q, m) :: send_each rest m
+
+let rec send_ranks ~skip ~lo ~hi m tail =
+  if lo > hi then tail
+  else if lo = skip then send_ranks ~skip ~lo:(lo + 1) ~hi m tail
+  else Proto.Send (Pid.of_rank lo, m) :: send_ranks ~skip ~lo:(lo + 1) ~hi m tail
 
 let broadcast_others env m =
-  send_each (Pid.others ~n:env.Proto.n env.Proto.self) m
+  send_ranks ~skip:(Pid.rank env.Proto.self) ~lo:1 ~hi:env.Proto.n m []
 
 let timer_at id k = Proto.Set_timer { id; fire = Proto.At_delay k }
-let decide d = Proto.Decide d
-let decide_vote v = Proto.Decide (Vote.decision_of_vote v)
+
+(* the two decisions are shared constants, not a block per decision *)
+let decide_commit = Proto.Decide Vote.Commit
+let decide_abort = Proto.Decide Vote.Abort
+let decide = function Vote.Commit -> decide_commit | Vote.Abort -> decide_abort
+let decide_vote v = decide (Vote.decision_of_vote v)
 let rank env = Pid.rank env.Proto.self
 
 (** [P1; ...; Pk] — the paper's frequent "forall q in {P1..Pf}" sets. *)
 let first_ranked k = List.init k (fun i -> Pid.of_rank (i + 1))
-
-(** [P_{j}; ...; P_{n}]. *)
-let ranked_from env j =
-  let n = env.Proto.n in
-  if j > n then [] else List.init (n - j + 1) (fun i -> Pid.of_rank (j + i))
 
 (* ---- fingerprint plumbing (hash_state canonicalizers) --------------
 

@@ -3,6 +3,14 @@
 
 val send : Pid.t -> 'msg -> 'msg Proto.action
 val send_each : Pid.t list -> 'msg -> 'msg Proto.action list
+
+val send_ranks :
+  skip:int -> lo:int -> hi:int -> 'msg -> 'msg Proto.action list ->
+  'msg Proto.action list
+(** [send_ranks ~skip ~lo ~hi m tail] sends [m] to [P_lo..P_hi] in rank
+    order, leaving out rank [skip], consed onto [tail]: one loop over
+    ranks, with no pid list built. *)
+
 val broadcast_others : Proto.env -> 'msg -> 'msg Proto.action list
 
 val timer_at : string -> int -> 'msg Proto.action
@@ -16,9 +24,6 @@ val rank : Proto.env -> int
 
 val first_ranked : int -> Pid.t list
 (** [[P1; ...; Pk]] — the paper's "forall q in {P1..Pf}" sets. *)
-
-val ranked_from : Proto.env -> int -> Pid.t list
-(** [[P_j; ...; P_n]]. *)
 
 (** {1 Fingerprint plumbing}
 

@@ -65,19 +65,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               now
             end
             else begin
-              let info =
-                {
-                  Network.src;
-                  dst;
-                  layer = M.layer_of_wire payload;
-                  sent_at = now;
-                  seq = !send_seq;
-                }
-              in
+              let seq = !send_seq in
               incr send_seq;
               let deliver_at =
                 Sim_time.( + ) now
-                  (Network.delay scenario.Scenario.network rng info)
+                  (Network.delay scenario.Scenario.network rng ~src ~dst
+                     ~layer:(M.layer_of_wire payload) ~sent_at:now ~seq)
               in
               Event_queue.add queue ~time:deliver_at
                 ~klass:(deliver_class scenario)

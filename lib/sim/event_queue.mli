@@ -9,6 +9,10 @@
     - tertiary key: insertion sequence, which makes the pop order a pure
       function of the push order (no reliance on heap internals).
 
+    Classes range over [0..63]: the class and the sequence number pack
+    into one int key ([klass lsl 56 lor seq]), so ordering two events
+    takes at most two int compares.
+
     The heap itself holds ints only: each position stores the event's
     key and the index of a payload slot. A payload is written once into
     its slot by {!add} and read once by {!take}, so sifting moves a few
@@ -24,7 +28,7 @@ val create : unit -> 'a t
 val add_tagged : 'a t -> time:Sim_time.t -> klass:int -> tag:int -> 'a -> unit
 (** Enqueue an event carrying [tag]. Allocates the payload's option cell
     only.
-    @raise Invalid_argument if [time < 0] or [klass < 0]. *)
+    @raise Invalid_argument if [time < 0], [klass < 0] or [klass > 63]. *)
 
 val add : 'a t -> time:Sim_time.t -> klass:int -> 'a -> unit
 (** [add_tagged] with tag 0. *)

@@ -146,13 +146,29 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     match t.crashed.(Pid.index p) with None -> false | Some _ -> true
   let cons_handed t p = t.cons_decided.(Pid.index p)
 
+  let[@inline] same_layer (a : Trace.layer) b =
+    match (a, b) with
+    | Trace.Commit_layer, Trace.Commit_layer
+    | Trace.Consensus_layer, Trace.Consensus_layer ->
+        true
+    | _ -> false
+
+  let rec epoch_of layer id = function
+    | [] -> 0
+    | (l, i, e) :: tl ->
+        if same_layer l layer && String.equal i id then e
+        else epoch_of layer id tl
+
   let timer_epoch t pid layer id =
-    let rec find = function
-      | [] -> 0
-      | (l, i, e) :: tl ->
-          if l = layer && String.equal i id then e else find tl
-    in
-    find t.timer_epochs.(Pid.index pid)
+    epoch_of layer id t.timer_epochs.(Pid.index pid)
+
+  (* [epochs] without its entry for the timer, if any (there is at most
+     one: [cancel_timer] is the only writer) *)
+  let rec drop_epoch layer id = function
+    | [] -> []
+    | ((l, i, _) as e) :: tl ->
+        if same_layer l layer && String.equal i id then tl
+        else e :: drop_epoch layer id tl
 
   let tag t payload =
     match Hashtbl.find_opt t.tags payload with
@@ -165,8 +181,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* Fingerprinting. The per-protocol canonical hashers are resolved once
      at functor application; a module without one falls back to hashing
      its marshalled bytes (equality then means marshal-byte equality,
-     like the checker's original fingerprints). *)
-  let marshal_hasher h s = Fingerprint.add_string h (Marshal.to_string s [])
+     like the checker's original fingerprints). [No_sharing] makes the
+     bytes a function of the value alone: two equal states hash alike
+     whether or not their parts are physically shared. *)
+  let marshal_hasher h s =
+    Fingerprint.add_string h (Marshal.to_string s [ Marshal.No_sharing ])
 
   let p_hasher =
     match P.hash_state with Some f -> f | None -> marshal_hasher
@@ -273,12 +292,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      made after the cancellation carry the new epoch and fire normally. *)
   let cancel_timer t ~pid ~layer ~id =
     let i = Pid.index pid in
-    let epoch = timer_epoch t pid layer id in
+    let epochs = t.timer_epochs.(i) in
     t.timer_epochs.(i) <-
-      (layer, id, epoch + 1)
-      :: List.filter
-           (fun (l, i', _) -> not (l = layer && String.equal i' id))
-           t.timer_epochs.(i);
+      (layer, id, epoch_of layer id epochs + 1) :: drop_epoch layer id epochs;
     touch t i;
     t.epoch_bumps <- t.epoch_bumps + 1
 

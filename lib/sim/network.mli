@@ -29,10 +29,14 @@ val bound : t -> Sim_time.t option
 (** A static upper bound on the delays this model can produce, when one is
     known ([None] for {!adversary}). Used by {!Scenario.classify}. *)
 
-val delay : t -> Rng.t -> info -> Sim_time.t
-(** The delay assigned to this message; always clamped to [>= 1] tick by
-    the engine (messages are never instantaneous between distinct
-    processes). *)
+val delay :
+  t -> Rng.t -> src:Pid.t -> dst:Pid.t -> layer:Trace.layer ->
+  sent_at:Sim_time.t -> seq:int -> Sim_time.t
+(** The delay assigned to this message, always clamped to [>= 1] tick
+    (messages are never instantaneous between distinct processes).
+    [seq] is the global send sequence number. Only the models that read
+    the message ({!eventually_synchronous}, {!adversary}) get an {!info}
+    record built; {!exact} and {!jittered} draw without one. *)
 
 val exact : u:Sim_time.t -> t
 (** Every message takes exactly [u]: the canonical synchronous network of

@@ -96,18 +96,6 @@ end)
 module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   module M = Machine.Make (P) (C)
 
-  (* One commit instance's events, mirroring the engine's event type. *)
-  type iev =
-    | Propose of Pid.t
-    | Deliver of {
-        src : Pid.t;
-        dst : Pid.t;
-        payload : M.wire;
-        sent_at : Sim_time.t;
-      }
-    | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
-    | Crash of Pid.t
-
   type inst = {
     mutable i_id : int;
     mutable tag : int;  (* current Mux tag; re-tagged on every re-drive *)
@@ -160,13 +148,24 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     mutable b_launched : bool;
   }
 
+  (* The service's events and, tagged with their instance, one commit
+     instance's events (mirroring the engine's event type), in one flat
+     type: an instance event is a single block. *)
   type sev =
     | Submit of int  (* client id *)
     | Launch_batch of batch  (* batch-window expiry *)
     | Outage of Pid.t
     | Recover of Pid.t
     | Elect  (* election timer of the instance the event is tagged with *)
-    | Inst of iev
+    | Propose of Pid.t
+    | Deliver of {
+        src : Pid.t;
+        dst : Pid.t;
+        payload : M.wire;
+        sent_at : Sim_time.t;
+      }
+    | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
+    | Crash of Pid.t
 
   let run ?observe ~n ~f (spec : spec) : stats =
     let wall_start = Unix.gettimeofday () in
@@ -297,26 +296,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           (fun ~now ~src ~dst payload ->
             if Pid.equal src dst then begin
               Mux.add q ~instance:inst_id ~time:now ~klass:deliver_class
-                (Inst (Deliver { src; dst; payload; sent_at = now }));
+                (Deliver { src; dst; payload; sent_at = now });
               now
             end
             else begin
-              let info =
-                {
-                  Network.src;
-                  dst;
-                  layer = M.layer_of_wire payload;
-                  sent_at = now;
-                  seq = !send_seq;
-                }
-              in
+              let seq = !send_seq in
               incr send_seq;
               incr messages;
               let deliver_at =
-                Sim_time.( + ) now (Network.delay spec.network rng info)
+                Sim_time.( + ) now
+                  (Network.delay spec.network rng ~src ~dst
+                     ~layer:(M.layer_of_wire payload) ~sent_at:now ~seq)
               in
               Mux.add q ~instance:inst_id ~time:deliver_at ~klass:deliver_class
-                (Inst (Deliver { src; dst; payload; sent_at = now }));
+                (Deliver { src; dst; payload; sent_at = now });
               deliver_at
             end);
         M.set_timer =
@@ -329,7 +322,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               | Proto.After _ -> at
             in
             Mux.add q ~instance:inst_id ~time:at ~klass:timeout_class
-              (Inst (Timeout { pid; layer; id; epoch })));
+              (Timeout { pid; layer; id; epoch }));
       }
     in
 
@@ -356,12 +349,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (fun i is_down ->
           if is_down then
             Mux.add q ~instance:inst.tag ~time:now ~klass:crash_class
-              (Inst (Crash (Pid.of_index i))))
+              (Crash (Pid.of_index i)))
         down;
       List.iter
         (fun pid ->
           Mux.add q ~instance:inst.tag ~time:now ~klass:service_class
-            (Inst (Propose pid)))
+            (Propose pid))
         all_pids
     in
     let retag inst =
@@ -546,7 +539,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           List.iter
             (fun pid ->
               Mux.add q ~instance:inst.tag ~time:now ~klass:service_class
-                (Inst (Propose pid)))
+                (Propose pid))
             all_pids
     in
 
@@ -592,7 +585,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       | _ -> ()
     in
 
-    let rec has_key keys k j =
+    (* typed: left polymorphic, [=] here is [caml_equal] per key *)
+    let rec has_key (keys : int array) k j =
       j < Array.length keys && (keys.(j) = k || has_key keys k (j + 1))
     in
     let rec shares_key a b j =
@@ -820,7 +814,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             (fun inst ->
               if not (M.is_crashed inst.machine pid) then
                 Mux.add q ~instance:inst.tag ~time:now ~klass:crash_class
-                  (Inst (Crash pid)))
+                  (Crash pid))
             (List.sort by_id !running)
       | Recover pid ->
           let shard = Pid.index pid in
@@ -851,19 +845,26 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           | Some ({ quiesced = true; outcome = None; _ } as inst) ->
               elect now inst
           | _ -> ())
-      | Inst iev -> (
+      | Propose pid -> (
           match find_by_tag instance with
-          | None -> ()
-          | Some inst -> (
-              let m = inst.machine in
-              match iev with
-              | Propose pid -> M.propose m ~now pid inst.votes.(Pid.index pid)
-              | Deliver { src; dst; payload; sent_at } ->
-                  M.deliver m ~now ~sent_at ~src ~dst payload
-              | Timeout { pid; layer; id; epoch } ->
-                  ignore (M.timeout m ~now ~pid ~layer ~id ~epoch)
-              | Crash pid ->
-                  if not (M.is_crashed m pid) then M.crash m ~now pid))
+          | Some inst ->
+              M.propose inst.machine ~now pid inst.votes.(Pid.index pid)
+          | None -> ())
+      | Deliver { src; dst; payload; sent_at } -> (
+          match find_by_tag instance with
+          | Some inst -> M.deliver inst.machine ~now ~sent_at ~src ~dst payload
+          | None -> ())
+      | Timeout { pid; layer; id; epoch } -> (
+          match find_by_tag instance with
+          | Some inst ->
+              ignore (M.timeout inst.machine ~now ~pid ~layer ~id ~epoch)
+          | None -> ())
+      | Crash pid -> (
+          match find_by_tag instance with
+          | Some inst ->
+              if not (M.is_crashed inst.machine pid) then
+                M.crash inst.machine ~now pid
+          | None -> ())
     in
 
     List.iter

@@ -383,6 +383,83 @@ let prop_first_binding_conjunction =
         (Inbac.first_binding_conjunction collection0 collection1)
         (Vset.conjunction (Vset.union collection0 merged)))
 
+(* The list-based specification the rank loop replaced: the [C]
+   acknowledgements, with the vote coverage each must exhibit, that a
+   direct decision at 2U awaits, in rank order; under [ack_undershoot]
+   the last one is not awaited. *)
+let expected_acks ~ack_undershoot ~naive_backups ~n ~f ~rank =
+  let full = Pid.all ~n in
+  let first_f = Proto_util.first_ranked f in
+  let of_peer j = (Pid.of_rank j, full) in
+  let peers = List.init f (fun k -> k + 1) in
+  let acks =
+    if rank <= f then
+      List.filter_map (fun j -> if j = rank then None else Some (of_peer j)) peers
+      @ if naive_backups then [] else [ (Pid.of_rank (f + 1), first_f) ]
+    else List.map of_peer peers
+  in
+  if ack_undershoot then
+    match List.rev acks with [] -> [] | _ :: rest -> List.rev rest
+  else acks
+
+let spec_acks_complete ~ack_undershoot ~naive_backups ~n ~f ~rank collection1 =
+  List.for_all
+    (fun (sender, coverage) ->
+      match List.assoc_opt sender collection1 with
+      | None -> false
+      | Some coll -> Vset.covers coll coverage)
+    (expected_acks ~ack_undershoot ~naive_backups ~n ~f ~rank)
+
+(* Every n in 2..7, every f and rank, both variant flags, on random
+   collections: each rank acknowledges with probability 3/4, carrying all
+   n votes, the first f, all but one, or a random set, so both verdicts
+   occur at every configuration. *)
+let prop_acks_complete_matches_spec =
+  QCheck.Test.make ~count:200
+    ~name:"rank-loop ack check equals the expected_acks spec"
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let vset ids =
+        List.fold_left
+          (fun acc i -> Vset.add (Pid.of_index i) Vote.yes acc)
+          Vset.empty ids
+      in
+      let coverage ~n ~f =
+        match Random.State.int st 4 with
+        | 0 -> List.init n Fun.id
+        | 1 -> List.init f Fun.id
+        | 2 ->
+            let drop = Random.State.int st n in
+            List.filter (( <> ) drop) (List.init n Fun.id)
+        | _ -> List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id)
+      in
+      let ok = ref true in
+      for n = 2 to 7 do
+        for f = 1 to n - 1 do
+          for rank = 1 to n do
+            let collection1 =
+              List.filter_map
+                (fun s ->
+                  if Random.State.int st 4 = 0 then None
+                  else Some (Pid.of_index s, vset (coverage ~n ~f)))
+                (if Random.State.bool st then List.init n Fun.id
+                 else List.rev (List.init n Fun.id))
+            in
+            List.iter
+              (fun (ack_undershoot, naive_backups) ->
+                if
+                  Inbac.acks_complete ~ack_undershoot ~naive_backups ~n ~f ~rank
+                    collection1
+                  <> spec_acks_complete ~ack_undershoot ~naive_backups ~n ~f
+                       ~rank collection1
+                then ok := false)
+              [ (false, false); (true, false); (false, true); (true, true) ]
+          done
+        done
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Properties: indulgence *)
 
@@ -465,7 +542,10 @@ let () =
           quick "nice executions identical" test_undershoot_nice_identical;
         ] );
       ( "direct decision",
-        [ prop prop_first_binding_conjunction ] );
+        [
+          prop prop_first_binding_conjunction;
+          prop prop_acks_complete_matches_spec;
+        ] );
       ( "indulgence",
         [
           quick "consensus independence" test_consensus_independence;

@@ -113,6 +113,79 @@ let test_rng_invalid () =
     (Invalid_argument "Rng.int: bound must be positive") (fun () ->
       ignore (Rng.int (Rng.create 1) ~bound:0))
 
+(* The splitmix64 stream, pinned. Every seeded run (the service goldens,
+   the sweep goldens, randomized scenarios) is a function of these draws,
+   so a change to the generator's representation must leave them
+   bit-identical. *)
+let t64 = Alcotest.testable (fun ppf v -> Format.fprintf ppf "0x%016LX" v) Int64.equal
+
+let test_rng_stream_pinned () =
+  List.iter
+    (fun (seed, expect) ->
+      let r = Rng.create seed in
+      List.iter (fun v -> check t64 (Printf.sprintf "seed %d" seed) v (Rng.next64 r)) expect)
+    [
+      (0, [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]);
+      (1, [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L ]);
+      (7, [ 0x863B891F4C0ABD4FL; 0x4D58FBD282EAF415L; 0xF0E521070CC03750L ]);
+      (-42, [ 0xD5A48CF7B485659BL; 0x7DB2965C555FA7FFL; 0xEB13177AD3A7F71FL ]);
+      (max_int, [ 0x2DE2CE032C245FA7L; 0xAF69910C113799ACL; 0xC214C2E0626FF3EFL ]);
+      (min_int, [ 0x8A9ADB5311FF9A1DL; 0xD05052FCB0254D35L; 0xD08C0673099E7A4FL ]);
+    ]
+
+let test_rng_derived_pinned () =
+  let r = Rng.create 11 in
+  let draws k f = List.init k (fun _ -> f ()) in
+  check (Alcotest.list tint) "int ~bound:1000" [ 933; 177; 855; 389; 820; 174 ]
+    (draws 6 (fun () -> Rng.int r ~bound:1000));
+  check (Alcotest.list tint) "int ~bound:max_int"
+    [ 2349901733149696068; 4517149598208011243 ]
+    (draws 2 (fun () -> Rng.int r ~bound:max_int));
+  check (Alcotest.list tint) "int_in -5..5" [ 0; -3; 0; -5; -1; 5 ]
+    (draws 6 (fun () -> Rng.int_in r ~lo:(-5) ~hi:5));
+  check (Alcotest.list (Alcotest.float 0.0)) "float"
+    [ 0x1.787c9042bb5eap-1; 0x1.6b7003dbb45d8p-4; 0x1.22f0021db2153p-1; 0x1.742c8c417454bp-1 ]
+    (draws 4 (fun () -> Rng.float r));
+  check (Alcotest.list tbool) "bool"
+    [ true; false; true; false; true; true; false; false; true; false; false; true ]
+    (draws 12 (fun () -> Rng.bool r));
+  let s = Rng.create 3 in
+  check (Alcotest.list tint) "shuffle" [ 2; 5; 6; 7; 4; 1; 8; 3 ]
+    (Rng.shuffle s [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+  check tint "pick" 50 (Rng.pick s [ 10; 20; 30; 40; 50 ])
+
+let test_rng_split_copy_pinned () =
+  let p = Rng.create 5 in
+  ignore (Rng.next64 p);
+  let c = Rng.split p in
+  List.iter (fun v -> check t64 "split child" v (Rng.next64 c))
+    [ 0xF40E9A1167BD1688L; 0x5D2D49CC26CC93B0L; 0x500F686E4351E0ADL ];
+  List.iter (fun v -> check t64 "parent after split" v (Rng.next64 p))
+    [ 0xC88783661F974CC8L; 0xC4D33F1D7A80B1A9L ];
+  let a = Rng.create 13 in
+  for _ = 1 to 5 do
+    ignore (Rng.next64 a)
+  done;
+  let b = Rng.copy a in
+  List.iter (fun v -> check t64 "copy after 5 draws" v (Rng.next64 b))
+    [ 0x871094BFD0439E9BL; 0x48FDD521216E501CL ];
+  List.iter (fun v -> check t64 "original after copy" v (Rng.next64 a))
+    [ 0x871094BFD0439E9BL; 0x48FDD521216E501CL ]
+
+(* Drawing allocates nothing: the state is unboxed (a [float] draw boxes
+   only its result). *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 17 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Rng.int r ~bound:97 + Rng.int_in r ~lo:1 ~hi:6;
+    if Rng.bool r then incr acc
+  done;
+  let w1 = Gc.minor_words () in
+  check tbool "some draws" true (!acc > 0);
+  check tbool (Printf.sprintf "%.0f words for 3000 draws" (w1 -. w0)) true (w1 -. w0 < 64.)
+
 let prop_rng_int_in_bound =
   QCheck.Test.make ~count:500 ~name:"Rng.int is within bound"
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -332,6 +405,10 @@ let () =
           quick "seed sensitivity" test_rng_seed_sensitivity;
           quick "copy" test_rng_copy;
           quick "invalid" test_rng_invalid;
+          quick "stream pinned" test_rng_stream_pinned;
+          quick "derived draws pinned" test_rng_derived_pinned;
+          quick "split and copy pinned" test_rng_split_copy_pinned;
+          quick "draws allocate nothing" test_rng_draws_allocate_nothing;
           prop prop_rng_int_in_bound;
           prop prop_rng_int_in_range;
           prop prop_rng_shuffle_permutation;

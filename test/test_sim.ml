@@ -84,6 +84,69 @@ let prop_queue_pop_sorted =
       let keys = List.map (fun (t, k, i) -> (t, k, i)) popped in
       keys = List.sort compare keys)
 
+(* The packed-key, bottom-up heap against a sorted-list model, with adds
+   and takes interleaved as the service drives it: long runs (up to 2000
+   operations), every class the key can hold, and times drawn from a
+   narrow range so that ties on time, and on (time, class), are the rule.
+   Each take must return the model's minimum (time, class, insertion
+   order) with its tag. *)
+let prop_queue_interleaved_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map3 (fun t k g -> `Add (t, k, g)) (int_range 0 3) (int_range 0 63) nat);
+          (2, return `Take);
+        ])
+  in
+  QCheck.Test.make ~count:100
+    ~name:"interleaved add/take match a sorted-list model"
+    QCheck.(make Gen.(list_size (int_range 0 2000) op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* ascending (time, class, seq) *)
+      let model = ref [] in
+      let seq = ref 0 in
+      let rec insert e = function
+        | [] -> [ e ]
+        | x :: rest as l -> if compare e x < 0 then e :: l else x :: insert e rest
+      in
+      let take_ok () =
+        match !model with
+        | [] -> Event_queue.is_empty q
+        | ((time, klass, sq), tag) :: rest ->
+            model := rest;
+            Event_queue.min_time q = time
+            && Event_queue.min_klass q = klass
+            && Event_queue.min_tag q = tag
+            && Event_queue.take q = sq
+      in
+      let ok =
+        List.for_all
+          (function
+            | `Add (time, klass, tag) ->
+                Event_queue.add_tagged q ~time ~klass ~tag !seq;
+                model := insert ((time, klass, !seq), tag) !model;
+                incr seq;
+                true
+            | `Take -> take_ok ())
+          ops
+      in
+      let rec drain () = !model = [] || (take_ok () && drain ()) in
+      ok && drain () && Event_queue.is_empty q)
+
+let test_queue_class_bound () =
+  let q = Event_queue.create () in
+  Event_queue.add q ~time:0 ~klass:63 "top class";
+  check tint "class 63 accepted" 63 (Event_queue.min_klass q);
+  Alcotest.check_raises "class 64"
+    (Invalid_argument "Event_queue.add: class above 63") (fun () ->
+      Event_queue.add q ~time:0 ~klass:64 "too high");
+  Alcotest.check_raises "negative class"
+    (Invalid_argument "Event_queue.add: negative class") (fun () ->
+      Event_queue.add q ~time:0 ~klass:(-1) "negative");
+  check tint "rejected adds leave the queue alone" 1 (Event_queue.size q)
+
 (* Drain/refill capacity retention: the engine's queue empties between
    instants, and before the fix every drain dropped the backing array
    (`t.heap <- [||]`), so each refill re-grew from 16 with a rehash
@@ -191,26 +254,21 @@ let prop_queue_interleaved =
 (* ------------------------------------------------------------------ *)
 (* Network *)
 
-let info ~src ~dst ~sent_at =
-  {
-    Network.src = Pid.of_rank src;
-    dst = Pid.of_rank dst;
-    layer = Trace.Commit_layer;
-    sent_at;
-    seq = 0;
-  }
+let delay net rng ~src ~dst ~sent_at =
+  Network.delay net rng ~src:(Pid.of_rank src) ~dst:(Pid.of_rank dst)
+    ~layer:Trace.Commit_layer ~sent_at ~seq:0
 
 let test_network_exact () =
   let net = Network.exact ~u in
   let rng = Rng.create 1 in
-  check tint "always u" u (Network.delay net rng (info ~src:1 ~dst:2 ~sent_at:0));
+  check tint "always u" u (delay net rng ~src:1 ~dst:2 ~sent_at:0);
   check tbool "bound" true (Network.bound net = Some u)
 
 let test_network_jittered () =
   let net = Network.jittered ~u in
   let rng = Rng.create 1 in
   for _ = 1 to 200 do
-    let d = Network.delay net rng (info ~src:1 ~dst:2 ~sent_at:0) in
+    let d = delay net rng ~src:1 ~dst:2 ~sent_at:0 in
     check tbool "within (0, u]" true (d >= 1 && d <= u)
   done
 
@@ -219,13 +277,13 @@ let test_network_gst () =
   let rng = Rng.create 1 in
   let late = ref false in
   for _ = 1 to 300 do
-    let d = Network.delay net rng (info ~src:1 ~dst:2 ~sent_at:0) in
+    let d = delay net rng ~src:1 ~dst:2 ~sent_at:0 in
     if d > u then late := true;
     check tbool "early message below 4u" true (d <= 4 * u)
   done;
   check tbool "some early message exceeds u" true !late;
   for _ = 1 to 100 do
-    let d = Network.delay net rng (info ~src:1 ~dst:2 ~sent_at:(10 * u)) in
+    let d = delay net rng ~src:1 ~dst:2 ~sent_at:(10 * u) in
     check tbool "after gst at most u" true (d <= u)
   done
 
@@ -233,7 +291,25 @@ let test_network_adversary_clamped () =
   let net = Network.adversary ~name:"zero" (fun _ -> 0) in
   let rng = Rng.create 1 in
   check tint "clamped to 1 tick" 1
-    (Network.delay net rng (info ~src:1 ~dst:2 ~sent_at:0))
+    (delay net rng ~src:1 ~dst:2 ~sent_at:0)
+
+(* an adversary reads the message's info record as sent *)
+let test_network_adversary_info () =
+  let seen = ref None in
+  let net = Network.adversary ~name:"spy" (fun i -> seen := Some i; 7) in
+  let d =
+    Network.delay net (Rng.create 1) ~src:(Pid.of_rank 3) ~dst:(Pid.of_rank 1)
+      ~layer:Trace.Consensus_layer ~sent_at:42 ~seq:9
+  in
+  check tint "delay" 7 d;
+  match !seen with
+  | Some { Network.src; dst; layer; sent_at; seq } ->
+      check tint "src" 3 (Pid.rank src);
+      check tint "dst" 1 (Pid.rank dst);
+      check tbool "layer" true (layer = Trace.Consensus_layer);
+      check tint "sent_at" 42 sent_at;
+      check tint "seq" 9 seq
+  | None -> Alcotest.fail "adversary not consulted"
 
 (* ------------------------------------------------------------------ *)
 (* Scenario *)
@@ -864,6 +940,8 @@ let () =
           quick "no payload pinning" test_queue_no_payload_pinning;
           prop prop_queue_pop_sorted;
           prop prop_queue_interleaved;
+          prop prop_queue_interleaved_model;
+          quick "class bound" test_queue_class_bound;
         ] );
       ( "mux",
         [
@@ -879,6 +957,7 @@ let () =
           quick "jittered" test_network_jittered;
           quick "eventually synchronous" test_network_gst;
           quick "adversary clamped" test_network_adversary_clamped;
+          quick "adversary reads info" test_network_adversary_info;
         ] );
       ( "scenario",
         [

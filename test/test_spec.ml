@@ -225,6 +225,67 @@ let prop_vset_union_commutes_on_domains =
       List.for_all (fun (q, _) -> Vset.mem q union) (Vset.bindings a)
       && List.for_all (fun (q, _) -> Vset.mem q union) (Vset.bindings b))
 
+(* The copying definitions [Vset.add] and [Vset.union] replaced, kept as
+   the reference: [add] rebuilt the prefix before a bound pid, [union]
+   folded [add] over its second argument. *)
+let rec copying_add q v = function
+  | [] -> [ (q, v) ]
+  | (r, w) :: rest as t ->
+      let c = Pid.compare q r in
+      if c < 0 then (q, v) :: t
+      else if c = 0 then t
+      else (r, w) :: copying_add q v rest
+
+let copying_union a b = List.fold_left (fun acc (q, v) -> copying_add q v acc) a b
+
+(* ranks 1..6, so random sets overlap *)
+let vset_of entries =
+  List.fold_left
+    (fun acc (rank, b) -> Vset.add (p rank) (Vote.of_bool b) acc)
+    Vset.empty entries
+
+let arb_entries = QCheck.(small_list (pair (int_range 1 6) bool))
+
+let prop_vset_add_matches_copying =
+  QCheck.Test.make ~count:500 ~name:"Vset.add equals the copying add"
+    QCheck.(triple arb_entries (int_range 1 6) bool)
+    (fun (entries, rank, b) ->
+      let s = vset_of entries in
+      let v = Vote.of_bool b in
+      let added = Vset.add (p rank) v s in
+      Vset.bindings added = copying_add (p rank) v (Vset.bindings s)
+      && (not (Vset.mem (p rank) s) || added == s))
+
+let prop_vset_union_matches_copying =
+  QCheck.Test.make ~count:500 ~name:"Vset.union equals the copying union"
+    QCheck.(pair arb_entries arb_entries)
+    (fun (ea, eb) ->
+      let a = vset_of ea and b = vset_of eb in
+      let u = Vset.union a b in
+      let adds_nothing =
+        List.for_all (fun (q, _) -> Vset.mem q a) (Vset.bindings b)
+      in
+      Vset.bindings u = copying_union (Vset.bindings a) (Vset.bindings b)
+      && ((not adds_nothing) || u == a))
+
+let test_vset_physical () =
+  let s = vset_of [ (1, true); (3, false); (5, true) ] in
+  check tbool "add of a bound pid is the set itself" true
+    (Vset.add (p 3) Vote.yes s == s);
+  check tbool "union with a subset is the set itself" true
+    (Vset.union s (vset_of [ (5, false); (1, true) ]) == s);
+  check tbool "union with empty is the set itself" true
+    (Vset.union s Vset.empty == s);
+  check tbool "union adding a pid is a new set" false
+    (Vset.union s (vset_of [ (2, true) ]) == s)
+
+let prop_vset_covers_first =
+  QCheck.Test.make ~count:500 ~name:"Vset.covers_first k = covers P1..Pk"
+    QCheck.(pair arb_entries (int_range 0 7))
+    (fun (entries, k) ->
+      let s = vset_of entries in
+      Vset.covers_first k s = Vset.covers s (List.init k (fun i -> p (i + 1))))
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -262,5 +323,9 @@ let () =
           quick "first vote wins" test_vset_first_vote_wins;
           prop prop_vset_sorted_canonical;
           prop prop_vset_union_commutes_on_domains;
+          prop prop_vset_add_matches_copying;
+          prop prop_vset_union_matches_copying;
+          quick "uncopied results" test_vset_physical;
+          prop prop_vset_covers_first;
         ] );
     ]

@@ -696,6 +696,30 @@ let test_startup_allocation () =
     true
     (s.Commit_service.minor_words_per_txn <= 20000.0)
 
+(* A commit instance allocates only what its protocol emits: on
+   perfbench's uniform shape (INBAC n=5 f=2, no admission waits) a
+   transaction costs ~580 minor words. Copying vote sets, a boxed Rng,
+   INBAC's per-step rank lists and twice-wrapped service events read
+   ~1130 here and fail the ceiling. *)
+let test_uniform_allocation () =
+  let s =
+    Commit_service.run ~protocol:"inbac" ~n:5 ~f:2
+      {
+        Commit_service.default with
+        Commit_service.clients = 256;
+        txns = 2000;
+        keys = 65536;
+        zipf_s = 0.0;
+      }
+  in
+  check tint "every transaction issued" 2000 s.Commit_service.transactions;
+  check tint "none left unresolved" 0 s.Commit_service.parked;
+  check tbool
+    (Printf.sprintf "%.0f minor words/txn on the uniform shape"
+       s.Commit_service.minor_words_per_txn)
+    true
+    (s.Commit_service.minor_words_per_txn <= 800.0)
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -724,6 +748,7 @@ let () =
           quick "spec validation" test_spec_validation;
           quick "golden arm bodies" test_golden_arm_bodies;
           quick "start-up allocation" test_startup_allocation;
+          quick "uniform-shape allocation" test_uniform_allocation;
           prop qcheck_election_differential;
         ] );
       ( "queued-admission",
