@@ -240,22 +240,43 @@ let json_flag =
   in
   scan argv
 
+(* A refused flag value exits 2 with one [bench:] line. *)
+let refuse flag msg =
+  Printf.eprintf "bench: %s: %s\n" flag msg;
+  exit 2
+
+(* Every value of [flag] in argv, read by [parse]; a trailing [flag]
+   with no value is refused. *)
+let flag_values flag parse =
+  let rec scan acc = function
+    | f :: v :: rest when String.equal f flag -> scan (parse v :: acc) rest
+    | [ f ] when String.equal f flag -> refuse flag "missing value"
+    | _ :: rest -> scan acc rest
+    | [] -> List.rev acc
+  in
+  scan [] argv
+
+let flag_value flag parse =
+  match flag_values flag parse with [] -> None | v :: _ -> Some v
+
 (* A gate flag's threshold ([Gate.threshold]). A value that is not a
-   number, is NaN or is negative, or a missing value, exits 2 with one
-   [bench:] line: read as "no gate" it would let every run pass. *)
+   number, is NaN or is negative is refused: read as "no gate" it would
+   let every run pass. *)
 let gate_flag flag =
-  let refuse msg =
-    Printf.eprintf "bench: %s: %s\n" flag msg;
-    exit 2
+  flag_value flag (fun v ->
+      match Gate.threshold v with Ok x -> x | Error msg -> refuse flag msg)
+
+(* A scale flag's count. A value that is not an integer or is below 1 is
+   refused: read as the default it would silently run the default
+   workload. *)
+let count_flag flag ~default =
+  let parse v =
+    match int_of_string_opt v with
+    | Some x when x >= 1 -> x
+    | Some x -> refuse flag (Printf.sprintf "%d is below 1" x)
+    | None -> refuse flag (Printf.sprintf "%S is not an integer" v)
   in
-  let rec scan = function
-    | f :: v :: _ when String.equal f flag -> (
-        match Gate.threshold v with Ok x -> Some x | Error msg -> refuse msg)
-    | [ f ] when String.equal f flag -> refuse "missing value"
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
+  Option.value (flag_value flag parse) ~default
 
 let min_mc_floor = gate_flag "--min-mc-states-per-sec"
 
@@ -272,40 +293,14 @@ let min_multishot_floor = gate_flag "--min-multishot-commits-per-sec"
 (* Multi-shot workload scale: how many closed-loop clients and total
    transactions each multishot arm runs. The defaults keep the smoke run
    cheap; raise them to stress the service. *)
-let multishot_clients =
-  let rec scan = function
-    | "--multishot-clients" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  Option.value (scan argv) ~default:100
-
-let multishot_txns =
-  let rec scan = function
-    | "--multishot-txns" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  Option.value (scan argv) ~default:800
+let multishot_clients = count_flag "--multishot-clients" ~default:100
+let multishot_txns = count_flag "--multishot-txns" ~default:800
 
 (* The streaming soak arm's scale: enough clients to hit real contention,
    budget-capped transactions so the smoke run stays cheap. The CI
    bench-soak leg raises the counts through these flags. *)
-let soak_clients =
-  let rec scan = function
-    | "--soak-clients" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  Option.value (scan argv) ~default:1000
-
-let soak_txns =
-  let rec scan = function
-    | "--soak-txns" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  Option.value (scan argv) ~default:20_000
+let soak_clients = count_flag "--soak-clients" ~default:1000
+let soak_txns = count_flag "--soak-txns" ~default:20_000
 
 (* Allocation ceiling for the soak arm: fail when it allocates more
    minor-heap words per issued transaction than this. *)
@@ -319,20 +314,21 @@ let max_minor_words = gate_flag "--max-minor-words-per-txn"
 let min_symmetry_reduction = gate_flag "--min-symmetry-reduction"
 
 (* NxF pairs for the timed table regenerations; defaults to a tiny pair
-   list so the smoke run stays cheap. *)
+   list so the smoke run stays cheap. A pair must name a system: two
+   integers with n >= 2 and f in 1..n-1 (the rule [Scenario.make]
+   applies). *)
 let json_pairs =
-  let rec scan acc = function
-    | "--pair" :: v :: rest -> (
-        match String.split_on_char 'x' v with
-        | [ n; f ] -> (
-            match (int_of_string_opt n, int_of_string_opt f) with
-            | Some n, Some f -> scan ((n, f) :: acc) rest
-            | _ -> scan acc rest)
-        | _ -> scan acc rest)
-    | _ :: rest -> scan acc rest
-    | [] -> List.rev acc
+  let parse v =
+    match List.map int_of_string_opt (String.split_on_char 'x' v) with
+    | [ Some n; Some f ] ->
+        if n < 2 then refuse "--pair" (Printf.sprintf "%s: n must be >= 2" v);
+        if f < 1 || f > n - 1 then
+          refuse "--pair"
+            (Printf.sprintf "%s: f must be in 1..n-1 (n = %d)" v n);
+        (n, f)
+    | _ -> refuse "--pair" (Printf.sprintf "%S is not NxF" v)
   in
-  match scan [] argv with [] -> [ (3, 1); (5, 2) ] | ps -> ps
+  match flag_values "--pair" parse with [] -> [ (3, 1); (5, 2) ] | ps -> ps
 
 let time_best ~reps f =
   let best = ref infinity in

@@ -13,13 +13,27 @@
     into one int key ([klass lsl 56 lor seq]), so ordering two events
     takes at most two int compares.
 
-    The heap itself holds ints only: each position stores the event's
-    key and the index of a payload slot. A payload is written once into
-    its slot by {!add} and read once by {!take}, so sifting moves a few
-    integers per level and never touches a payload. Each event also
-    carries an integer tag (the multi-shot service stores the owning
-    instance there, see {!Mux}); the [min_*] readers and {!take} look at
-    the minimum without allocating. *)
+    Events live in two tiers. Simulated delays are bounded (every
+    message takes at most U ticks and timers sit a few U ahead), so
+    nearly every event lands in a sliding window of 4096 ticks that
+    starts at the latest popped time. Inside the window, a ring holds
+    one bucket per tick, so a bucket holds one instant's events, kept in
+    (class, sequence) order. An insert nearly always appends at a
+    bucket's tail, and the ring's minimum is the head of its first
+    non-empty bucket, found from a cursor that scans forward. Events
+    outside the window (long think gaps, election timers, adds before
+    the last pop) wait in a binary heap and move into the ring as the
+    window slides over them; the queue's minimum is the lesser of the
+    two tiers' minima. A queue uses the ring only once it holds 128
+    events, so a small queue is just the heap and never allocates the
+    ring.
+
+    Both tiers hold ints only: event times, packed keys and the indices
+    of payload slots. A payload is written once into its slot by {!add}
+    and read once by {!take}. Each event also carries an integer tag
+    (the multi-shot service stores the owning instance there, see
+    {!Mux}); the [min_*] readers and {!take} look at the minimum without
+    allocating. *)
 
 type 'a t
 

@@ -1,9 +1,9 @@
 (** A latency accumulator with exact or streaming percentiles.
 
     The default ({!create}) keeps samples verbatim (a growable float
-    buffer) and computes percentiles by nearest-rank over a sorted copy —
-    exact, and the right trade for bounded runs that record a few
-    thousand floats per arm. The soak-mode variant ({!streaming}) folds
+    buffer) and computes nearest-rank percentiles by selecting each rank
+    from a copy, without sorting it whole — exact, and the right trade
+    for bounded runs. The soak-mode variant ({!streaming}) folds
     samples into a fixed array of equal-width bins plus an overflow bin,
     so memory stays O(bins) over a million-transaction run; its
     percentiles report the covering bin's upper edge (error bounded by

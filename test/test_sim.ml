@@ -135,6 +135,87 @@ let prop_queue_interleaved_model =
       let rec drain () = !model = [] || (take_ok () && drain ()) in
       ok && drain () && Event_queue.is_empty q)
 
+(* The tick ring and its overflow heap against a sorted model, driven the
+   way the service drives the queue: a monotone clock (the latest popped
+   time) and adds at it, up to 2U past it and at 12U past it (an election
+   timer, beyond the 4096-tick window), at the window's edge, anywhere in
+   0..2^20, and behind the clock. Each run fills past the ring threshold (128
+   events), interleaves adds and takes, drains, and fills past it again,
+   so events move between the tiers as the window slides. *)
+type ring_op =
+  | After of int * int * int  (* (delay past the clock, class, tag) *)
+  | At of int * int * int  (* (absolute time, class, tag) *)
+  | Behind of int * int * int  (* (distance before the clock, class, tag) *)
+  | Take
+  | Drain
+
+let prop_queue_ring_model =
+  let add =
+    QCheck.Gen.(
+      let klass = int_range 0 3 in
+      frequency
+        [
+          (4, map2 (fun k g -> After (0, k, g)) klass nat);
+          (12, map3 (fun d k g -> After (d, k, g)) (int_range 0 (2 * u)) klass nat);
+          (2, map2 (fun k g -> After (12 * u, k, g)) klass nat);
+          ( 1,
+            map3 (fun d k g -> After (d, k, g)) (oneofl [ 4095; 4096; 4097 ])
+              klass nat );
+          ( 1,
+            map3 (fun t k g -> At (t, k, g)) (int_range 0 (1 lsl 20))
+              (int_range 0 63) nat );
+          (1, map3 (fun d k g -> Behind (d, k, g)) (int_range 1 (3 * u)) klass nat);
+        ])
+  in
+  let fill = QCheck.Gen.(list_size (int_range 150 400) add) in
+  let mixed =
+    QCheck.Gen.(list_size (int_range 0 1500) (frequency [ (1, add); (1, return Take) ]))
+  in
+  let ops =
+    QCheck.Gen.map4
+      (fun a b c d -> a @ b @ (Drain :: c) @ d)
+      fill mixed fill mixed
+  in
+  let module Model = Set.Make (struct
+    type t = int * int * int * int  (* time, class, seq, tag *)
+
+    let compare = compare
+  end) in
+  QCheck.Test.make ~count:40
+    ~name:"ring and overflow heap match a sorted model across the window"
+    (QCheck.make ops) (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref Model.empty and seq = ref 0 and clock = ref 0 in
+      let add time klass tag =
+        Event_queue.add_tagged q ~time ~klass ~tag !seq;
+        model := Model.add (time, klass, !seq, tag) !model;
+        incr seq
+      in
+      let take_ok () =
+        match Model.min_elt_opt !model with
+        | None -> Event_queue.is_empty q
+        | Some ((time, klass, sq, tag) as e) ->
+            model := Model.remove e !model;
+            clock := max !clock time;
+            Event_queue.size q = Model.cardinal !model + 1
+            && Event_queue.min_time q = time
+            && Event_queue.min_klass q = klass
+            && Event_queue.min_tag q = tag
+            && Event_queue.take q = sq
+      in
+      let rec drain () = Model.is_empty !model || (take_ok () && drain ()) in
+      let ok =
+        List.for_all
+          (function
+            | After (d, k, g) -> add (!clock + d) k g; true
+            | At (t, k, g) -> add t k g; true
+            | Behind (d, k, g) -> add (max 0 (!clock - d)) k g; true
+            | Take -> take_ok ()
+            | Drain -> drain () && Event_queue.is_empty q)
+          ops
+      in
+      ok && drain () && Event_queue.is_empty q)
+
 let test_queue_class_bound () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:0 ~klass:63 "top class";
@@ -941,6 +1022,7 @@ let () =
           prop prop_queue_pop_sorted;
           prop prop_queue_interleaved;
           prop prop_queue_interleaved_model;
+          prop prop_queue_ring_model;
           quick "class bound" test_queue_class_bound;
         ] );
       ( "mux",

@@ -612,7 +612,10 @@ let test_spec_validation () =
    change to admission order, batch membership or lock bookkeeping moves
    a byte here. The third spec has 66 shards, past any one-word owner-set
    bitmask; the fourth draws uniformly (s = 0, the closed-form draw) over
-   a keyspace far wider than the others'. *)
+   a keyspace far wider than the others'. The fifth schedules think gaps
+   (20U) and election timers (12U) far past the event queue's tick
+   window, so events overflow it and migrate into the ring as the clock
+   advances. *)
 let test_golden_arm_bodies () =
   let contended =
     {
@@ -666,6 +669,18 @@ let test_golden_arm_bodies () =
           zipf_s = 0.0;
         },
         {|"transactions": 2000, "committed": 1926, "aborted": 74, "local_aborts": 0, "queued": 33, "parked": 0, "instances": 443, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 4.514673, "peak_in_flight": 51, "messages": 8860, "staged_left": 0, "abort_rate": 0.037000, "goodput": 0.963000, "zipf_s": 0.000000, "latency_delays": {"mean": 2.295075, "p50": 2.294000, "p95": 2.500000, "p99": 2.500000, "max": 4.803000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 2.636364, "p50": 2.000000, "p95": 5.000000, "p99": 6.000000, "max": 6.000000}, "atomicity_ok": true, "agreement_ok": true|}
+      );
+      ( "2pc n=4 f=1, think 20U, outage 1@5 never heals",
+        ("2pc", 4, 1),
+        {
+          Commit_service.default with
+          Commit_service.clients = 256;
+          txns = 2000;
+          think_gap = 20 * u;
+          outages = [ (1, 5 * u, None) ];
+          seed = 42;
+        },
+        {|"transactions": 2000, "committed": 704, "aborted": 420, "local_aborts": 876, "queued": 748, "parked": 0, "instances": 836, "retries": 0, "elections": 541, "stolen": 541, "mean_batch": 1.344498, "peak_in_flight": 29, "messages": 5829, "staged_left": 0, "abort_rate": 0.648000, "goodput": 0.352000, "zipf_s": 0.570462, "latency_delays": {"mean": 16.878744, "p50": 14.793000, "p95": 29.668000, "p99": 64.410000, "max": 106.789000}, "time_parked_delays": {"mean": 14.000000, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 63.695321, "p50": 69.000000, "p95": 97.000000, "p99": 110.000000, "max": 116.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
     ]
   in

@@ -631,6 +631,42 @@ let test_histogram_percentile_bounds () =
     && s.Histogram.p95 <= s.Histogram.p99
     && s.Histogram.p99 <= s.Histogram.max)
 
+(* Heavy duplicates: selection settles a run of equal samples in one
+   three-way partition, so 200 000 samples of one or two values summarize
+   at the sorted reference's ranks without a quadratic pass. *)
+let test_histogram_all_equal () =
+  let h = Histogram.create () in
+  for _ = 1 to 200_000 do
+    Histogram.add h 7.0
+  done;
+  let s = Histogram.summary h in
+  let f = Alcotest.float 1e-9 in
+  check tint "count" 200_000 s.Histogram.count;
+  check f "mean" 7.0 s.Histogram.mean;
+  check f "p50" 7.0 s.Histogram.p50;
+  check f "p95" 7.0 s.Histogram.p95;
+  check f "p99" 7.0 s.Histogram.p99;
+  check f "max" 7.0 s.Histogram.max;
+  check f "percentile 0" 7.0 (Histogram.percentile h 0.0)
+
+let test_histogram_two_valued () =
+  (* every 25th sample is 3.0, the rest 1.0: sorted, ranks 0..191999
+     hold 1.0 and 192000..199999 hold 3.0 *)
+  let h = Histogram.create () in
+  for i = 0 to 199_999 do
+    Histogram.add h (if i mod 25 = 0 then 3.0 else 1.0)
+  done;
+  let s = Histogram.summary h in
+  let f = Alcotest.float 1e-9 in
+  check tint "count" 200_000 s.Histogram.count;
+  check f "mean" 1.08 s.Histogram.mean;
+  check f "p50" 1.0 s.Histogram.p50;
+  check f "p95 (rank 190000)" 1.0 s.Histogram.p95;
+  check f "p99 (rank 198000)" 3.0 s.Histogram.p99;
+  check f "max" 3.0 s.Histogram.max;
+  check f "percentile 0.5" 1.0 (Histogram.percentile h 0.5);
+  check f "percentile 1" 3.0 (Histogram.percentile h 1.0)
+
 (* Streaming histogram (soak mode): constant-memory fixed-bin percentiles.
    Same interface as the exact variant; percentiles report the covering
    bin's upper edge clamped to the observed maximum, so the error is
@@ -801,6 +837,8 @@ let () =
         [
           quick "empty and single sample" test_histogram_empty_and_single;
           quick "percentile bounds" test_histogram_percentile_bounds;
+          quick "200000 equal samples" test_histogram_all_equal;
+          quick "200000 two-valued samples" test_histogram_two_valued;
           quick "streaming construction" test_streaming_construction;
           quick "streaming empty and single" test_streaming_empty_and_single;
           quick "streaming overflow" test_streaming_overflow;
