@@ -11,12 +11,12 @@
 
    --json PATH switches to the machine-readable regression mode instead:
    time the per-protocol nice executions, the per-table regenerations and
-   the model checker's pinned configuration (both fingerprint backends),
-   and write the numbers as JSON (default file: BENCH_results.json). CI's
-   bench-smoke step diffs that file's keys and gates on a states/sec
-   floor via --min-mc-states-per-sec; the multi-core leg additionally
-   gates on --min-swarm-j4-speedup (swarm+shared j4 wall vs the
-   sequential cursor j1 arm). *)
+   the model checker's pinned configurations, and write the numbers as
+   JSON (default file: BENCH_results.json). CI's bench-smoke step diffs
+   that file's keys and gates on a states/sec floor via
+   --min-mc-states-per-sec; the multi-core leg additionally gates on
+   --min-swarm-j4-speedup (swarm+shared j4 wall vs the sequential cursor
+   j1 arm). *)
 
 open Bechamel
 open Toolkit
@@ -25,17 +25,43 @@ let pairs = [ (3, 1); (5, 1); (5, 2); (8, 3); (13, 6) ]
 
 let argv = Array.to_list Sys.argv
 
-(* --jobs N limits the batch runner's domains when regenerating the Part 1
-   artifacts; artifacts are identical whatever the value. The Bechamel
-   micro-benches below always pin jobs=1 so they time the simulation
-   itself, not the domain fan-out. *)
-let jobs =
-  let rec scan = function
-    | "--jobs" :: v :: _ | "-j" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
+(* A refused flag value exits 2 with one [bench:] line. *)
+let refuse flag msg =
+  Printf.eprintf "bench: %s: %s\n" flag msg;
+  exit 2
+
+(* Every value of [flag] in argv, read by [parse]; a trailing [flag]
+   with no value is refused. *)
+let flag_values flag parse =
+  let rec scan acc = function
+    | f :: v :: rest when String.equal f flag -> scan (parse v :: acc) rest
+    | [ f ] when String.equal f flag -> refuse flag "missing value"
+    | _ :: rest -> scan acc rest
+    | [] -> List.rev acc
   in
-  scan argv
+  scan [] argv
+
+let flag_value flag parse =
+  match flag_values flag parse with [] -> None | v :: _ -> Some v
+
+(* A scale flag's count. A value that is not an integer or is below 1 is
+   refused: read as the default it would silently run the default
+   workload. *)
+let count_value flag =
+  flag_value flag (fun v ->
+      match int_of_string_opt v with
+      | Some x when x >= 1 -> x
+      | Some x -> refuse flag (Printf.sprintf "%d is below 1" x)
+      | None -> refuse flag (Printf.sprintf "%S is not an integer" v))
+
+let count_flag flag ~default = Option.value (count_value flag) ~default
+
+(* --jobs N (or -j N) limits the batch runner's domains when regenerating
+   the Part 1 artifacts; artifacts are identical whatever the value. The
+   Bechamel micro-benches below always pin jobs=1 so they time the
+   simulation itself, not the domain fan-out. *)
+let jobs =
+  match count_value "--jobs" with Some j -> Some j | None -> count_value "-j"
 
 let banner title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 78 '=') title
@@ -240,43 +266,12 @@ let json_flag =
   in
   scan argv
 
-(* A refused flag value exits 2 with one [bench:] line. *)
-let refuse flag msg =
-  Printf.eprintf "bench: %s: %s\n" flag msg;
-  exit 2
-
-(* Every value of [flag] in argv, read by [parse]; a trailing [flag]
-   with no value is refused. *)
-let flag_values flag parse =
-  let rec scan acc = function
-    | f :: v :: rest when String.equal f flag -> scan (parse v :: acc) rest
-    | [ f ] when String.equal f flag -> refuse flag "missing value"
-    | _ :: rest -> scan acc rest
-    | [] -> List.rev acc
-  in
-  scan [] argv
-
-let flag_value flag parse =
-  match flag_values flag parse with [] -> None | v :: _ -> Some v
-
 (* A gate flag's threshold ([Gate.threshold]). A value that is not a
    number, is NaN or is negative is refused: read as "no gate" it would
    let every run pass. *)
 let gate_flag flag =
   flag_value flag (fun v ->
       match Gate.threshold v with Ok x -> x | Error msg -> refuse flag msg)
-
-(* A scale flag's count. A value that is not an integer or is below 1 is
-   refused: read as the default it would silently run the default
-   workload. *)
-let count_flag flag ~default =
-  let parse v =
-    match int_of_string_opt v with
-    | Some x when x >= 1 -> x
-    | Some x -> refuse flag (Printf.sprintf "%d is below 1" x)
-    | None -> refuse flag (Printf.sprintf "%S is not an integer" v)
-  in
-  Option.value (flag_value flag parse) ~default
 
 let min_mc_floor = gate_flag "--min-mc-states-per-sec"
 
@@ -366,8 +361,8 @@ let time_best_each ~reps subjects run =
 (* The pinned model-checking configuration of the regression gate:
    inbac, crash class, n=3, f=1, jobs=1 — small enough for CI, large
    enough (thousands of states) that fingerprinting cost dominates. *)
-let mc_pinned ~fp () =
-  Mc_run.run ~fp ~jobs:1 ~naive:false ~protocol:"inbac" ~n:3 ~f:1
+let mc_pinned () =
+  Mc_run.run ~jobs:1 ~naive:false ~protocol:"inbac" ~n:3 ~f:1
     ~klass:Mc_run.Crash ()
 
 (* Frontier-scheduling matrix on the same pinned configuration: per-item
@@ -390,33 +385,23 @@ let mc_frontier_configs =
   ]
 
 let mc_frontier_run (_, visited, jobs, swarm) =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~naive:false ~visited ?swarm
-    ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
-
-(* Snapshot-pool A/B on the pinned configuration. Timing is interleaved
-   ([time_best_each]) so frequency drift cannot bias one arm; allocation
-   is measured separately with [Gc.quick_stat] deltas around a single
-   run — at jobs=1 the exploration runs inline on this domain, so the
-   deltas are exact, and allocation is deterministic so one run is
-   enough. *)
-let mc_pool_run pool =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1 ~naive:false
-    ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
+  Mc_run.run ~jobs ~naive:false ~visited ?swarm ~protocol:"inbac" ~n:3 ~f:1
+    ~klass:Mc_run.Crash ()
 
 (* Second pinned configuration: the network class, where the enumerate
    path (overtake bookkeeping, late-budget pruning, snapshot traffic) is
    the hot loop rather than the machine interpreter. Budget-capped so one
    run stays a few hundred ms; per-item visited mode keeps the capped
-   counters deterministic, so the A/B is still exploration-neutral. *)
+   counters deterministic. *)
 let network_budgets =
   {
     (Mc_limits.default_budgets ~u:Sim_time.default_u) with
     Mc_limits.max_states = 2_000;
   }
 
-let mc_network_run pool =
-  Mc_run.run ~budgets:network_budgets ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1
-    ~naive:false ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Network ()
+let mc_network_run () =
+  Mc_run.run ~budgets:network_budgets ~jobs:1 ~naive:false ~protocol:"inbac"
+    ~n:3 ~f:1 ~klass:Mc_run.Network ()
 
 (* Symmetry-reduction arms: inbac n=4 f=1, symmetry off vs on, per-item
    jobs=1 so every state counter is deterministic and the off arm is
@@ -452,9 +437,12 @@ let symmetry_arms =
   ]
 
 let symmetry_run ~symmetry (_, n, klass, budgets) =
-  Mc_run.run ?budgets ~fp:Mc_limits.Fp_hashed ~symmetry ~jobs:1 ~naive:false
-    ~protocol:"inbac" ~n ~f:1 ~klass ()
+  Mc_run.run ?budgets ~symmetry ~jobs:1 ~naive:false ~protocol:"inbac" ~n
+    ~f:1 ~klass ()
 
+(* Allocation of one run, from [Gc.quick_stat] deltas: at jobs=1 the
+   exploration runs inline on this domain, so the deltas are exact, and
+   allocation is deterministic, so one run is enough. *)
 let gc_measure run =
   let g0 = Gc.quick_stat () in
   let outcome = run () in
@@ -503,46 +491,21 @@ let run_json path =
         ("fig1", fun () -> ignore (Figure_one.render ()));
       ]
   in
-  let mc_backends =
-    List.map
-      (fun (fp, outcome, secs) ->
-        let c = outcome.Mc_run.counters in
-        ( Mc_limits.fp_backend_to_string fp,
-          secs,
-          c.Mc_limits.states,
-          c.Mc_limits.schedules,
-          float_of_int c.Mc_limits.states /. secs,
-          float_of_int c.Mc_limits.schedules /. secs ))
-      (time_best_each ~reps:5
-         [ Mc_limits.Fp_hashed; Mc_limits.Fp_marshal ]
-         (fun fp -> mc_pinned ~fp ()))
-  in
-  let per_sec_of name =
-    let _, _, _, _, sps, _ =
-      List.find (fun (b, _, _, _, _, _) -> b = name) mc_backends
-    in
-    sps
-  in
-  let speedup = per_sec_of "hashed" /. per_sec_of "marshal" in
-  (* Per-call fingerprint cost in isolation (same mid-exploration state,
-     both backends): this is the number the backend swap actually moves;
-     end-to-end states/sec also carries the shared transition-execution
-     cost, which dilutes it (Amdahl). *)
+  let pinned, pinned_secs = time_best ~reps:5 mc_pinned in
+  let pinned_states = pinned.Mc_run.counters.Mc_limits.states in
+  let pinned_schedules = pinned.Mc_run.counters.Mc_limits.schedules in
+  let pinned_sps = float_of_int pinned_states /. pinned_secs in
+  (* Per-call fingerprint cost in isolation, on a mid-exploration state:
+     end-to-end states/sec also carries the transition-execution cost,
+     which dilutes it (Amdahl). *)
   let fp_calls = 100_000 in
   let fp_probe =
     Mc_run.fingerprint_sampler ~protocol:"inbac" ~n:3 ~f:1
       ~klass:Mc_run.Crash ()
   in
-  let fp_hashed_ns, fp_marshal_ns =
-    match
-      time_best_each ~reps:5
-        [ Mc_limits.Fp_hashed; Mc_limits.Fp_marshal ]
-        (fun backend -> fp_probe backend fp_calls)
-    with
-    | [ (_, (), h); (_, (), m) ] ->
-        ( h *. 1e9 /. float_of_int fp_calls,
-          m *. 1e9 /. float_of_int fp_calls )
-    | _ -> assert false
+  let fp_ns =
+    let (), secs = time_best ~reps:5 (fun () -> fp_probe fp_calls) in
+    secs *. 1e9 /. float_of_int fp_calls
   in
   let frontier =
     List.map
@@ -579,40 +542,10 @@ let run_json path =
   let swarm_sps_ratio =
     frontier_sps "swarm_shared_j4" /. frontier_sps "per_item_cursor_j1"
   in
-  let pool_times =
-    List.map
-      (fun (pool, outcome, secs) ->
-        (pool, outcome.Mc_run.counters.Mc_limits.states, secs))
-      (time_best_each ~reps:5 [ true; false ] mc_pool_run)
-  in
-  let pool_arm b =
-    let _, states, secs = List.find (fun (p, _, _) -> p = b) pool_times in
-    (states, secs)
-  in
-  let pool_speedup = snd (pool_arm false) /. snd (pool_arm true) in
-  let p_states, p_minor, p_promoted, p_major =
-    gc_measure (fun () -> mc_pool_run true)
-  in
-  let u_states, u_minor, u_promoted, u_major =
-    gc_measure (fun () -> mc_pool_run false)
-  in
-  let net_times =
-    List.map
-      (fun (pool, outcome, secs) ->
-        (pool, outcome.Mc_run.counters.Mc_limits.states, secs))
-      (time_best_each ~reps:5 [ true; false ] mc_network_run)
-  in
-  let net_arm b =
-    let _, states, secs = List.find (fun (p, _, _) -> p = b) net_times in
-    (states, secs)
-  in
-  let net_pool_speedup = snd (net_arm false) /. snd (net_arm true) in
-  let np_states, np_minor, np_promoted, np_major =
-    gc_measure (fun () -> mc_network_run true)
-  in
-  let nu_states, nu_minor, nu_promoted, nu_major =
-    gc_measure (fun () -> mc_network_run false)
-  in
+  let gc_pinned = gc_measure mc_pinned in
+  let net, net_secs = time_best ~reps:5 mc_network_run in
+  let net_states = net.Mc_run.counters.Mc_limits.states in
+  let gc_net = gc_measure mc_network_run in
   (* Symmetry arms: single runs per mode — the reduction ratio is a
      ratio of deterministic state counts, not of wall times, so
      repetition buys nothing; the seconds are informational. *)
@@ -647,7 +580,7 @@ let run_json path =
         ~klass:Mc_run.Network ()
     in
     let (), secs =
-      time_best ~reps:5 (fun () -> probe Mc_limits.Fp_hashed canon_calls)
+      time_best ~reps:5 (fun () -> probe canon_calls)
     in
     secs *. 1e9 /. float_of_int canon_calls
   in
@@ -749,7 +682,7 @@ let run_json path =
     Buffer.add_string buf "  }"
   in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"actable-bench/10\",\n";
+  Buffer.add_string buf "  \"schema\": \"actable-bench/11\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"pairs\": [%s],\n"
        (String.concat ", "
@@ -764,26 +697,14 @@ let run_json path =
   Buffer.add_string buf
     "    \"protocol\": \"inbac\", \"class\": \"crash\", \"n\": 3, \"f\": 1, \
      \"jobs\": 1,\n";
-  Buffer.add_string buf "    \"backends\": {\n";
-  List.iteri
-    (fun i (b, secs, states, schedules, sps, schps) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      \"%s\": { \"seconds\": %.6f, \"states\": %d, \
-            \"schedules\": %d, \"states_per_sec\": %.0f, \
-            \"schedules_per_sec\": %.0f }%s\n"
-           b secs states schedules sps schps
-           (if i = List.length mc_backends - 1 then "" else ",")))
-    mc_backends;
-  Buffer.add_string buf "    },\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"hashed_vs_marshal_speedup\": %.2f,\n" speedup);
   Buffer.add_string buf
     (Printf.sprintf
-       "    \"fingerprint_ns_per_call\": { \"hashed\": %.1f, \"marshal\": \
-        %.1f, \"marshal_vs_hashed\": %.2f },\n"
-       fp_hashed_ns fp_marshal_ns
-       (fp_marshal_ns /. fp_hashed_ns));
+       "    \"pinned\": { \"seconds\": %.6f, \"states\": %d, \"schedules\": \
+        %d, \"states_per_sec\": %.0f, \"schedules_per_sec\": %.0f },\n"
+       pinned_secs pinned_states pinned_schedules pinned_sps
+       (float_of_int pinned_schedules /. pinned_secs));
+  Buffer.add_string buf
+    (Printf.sprintf "    \"fingerprint_ns_per_call\": %.1f,\n" fp_ns);
   Buffer.add_string buf "    \"frontier\": {\n";
   List.iter
     (fun (name, secs, states, schedules, sps) ->
@@ -803,61 +724,26 @@ let run_json path =
     (Printf.sprintf "      \"swarm_states_per_sec_ratio_j4\": %.2f\n"
        swarm_sps_ratio);
   Buffer.add_string buf "    },\n";
-  let gc_block rows speedup ratio =
-    Buffer.add_string buf "    \"gc\": {\n";
-    List.iter
-      (fun (name, secs, states, minor, promoted, major) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "      \"%s\": { \"seconds\": %.6f, \"states\": %d, \
-              \"minor_words_per_state\": %.1f, \
-              \"promoted_words_per_state\": %.1f, \"major_collections\": \
-              %d },\n"
-             name secs states minor promoted major))
-      rows;
+  let gc_block (states, minor, promoted, major) =
     Buffer.add_string buf
-      (Printf.sprintf "      \"pool_speedup\": %.2f,\n" speedup);
-    Buffer.add_string buf
-      (Printf.sprintf "      \"minor_words_ratio\": %.2f\n" ratio);
-    Buffer.add_string buf "    }\n"
+      (Printf.sprintf
+         "    \"gc\": { \"states\": %d, \"minor_words_per_state\": %.1f, \
+          \"promoted_words_per_state\": %.1f, \"major_collections\": %d }\n"
+         states minor promoted major)
   in
-  gc_block
-    [
-      ("pooled", snd (pool_arm true), p_states, p_minor, p_promoted, p_major);
-      ( "unpooled",
-        snd (pool_arm false),
-        u_states,
-        u_minor,
-        u_promoted,
-        u_major );
-    ]
-    pool_speedup
-    (u_minor /. Float.max p_minor 1e-9);
+  gc_block gc_pinned;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"mc_network\": {\n";
   Buffer.add_string buf
     "    \"protocol\": \"inbac\", \"class\": \"network\", \"n\": 3, \"f\": \
      1, \"jobs\": 1, \"max_states_budget\": 2000,\n";
-  let net_states, net_secs = net_arm true in
   Buffer.add_string buf
     (Printf.sprintf
-       "    \"hashed\": { \"seconds\": %.6f, \"states\": %d, \
+       "    \"pinned\": { \"seconds\": %.6f, \"states\": %d, \
         \"states_per_sec\": %.0f },\n"
        net_secs net_states
        (float_of_int net_states /. net_secs));
-  gc_block
-    [
-      ("pooled", snd (net_arm true), np_states, np_minor, np_promoted,
-       np_major);
-      ( "unpooled",
-        snd (net_arm false),
-        nu_states,
-        nu_minor,
-        nu_promoted,
-        nu_major );
-    ]
-    net_pool_speedup
-    (nu_minor /. Float.max np_minor 1e-9);
+  gc_block gc_net;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"symmetry\": {\n";
   Buffer.add_string buf
@@ -932,14 +818,8 @@ let run_json path =
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote %s\n" path;
-  Printf.printf
-    "mc pinned config: hashed %.0f states/sec, marshal %.0f states/sec \
-     (%.2fx)\n"
-    (per_sec_of "hashed") (per_sec_of "marshal") speedup;
-  Printf.printf
-    "fingerprint per call: hashed %.0fns, marshal %.0fns (%.1fx)\n"
-    fp_hashed_ns fp_marshal_ns
-    (fp_marshal_ns /. fp_hashed_ns);
+  Printf.printf "mc pinned config: %.0f states/sec\n" pinned_sps;
+  Printf.printf "fingerprint per call: %.0fns\n" fp_ns;
   Printf.printf
     "frontier: per-item j4 %.2fx, shared-visited j4 %.2fx vs cursor j1\n"
     per_item_speedup shared_speedup;
@@ -947,30 +827,13 @@ let run_json path =
     "frontier: swarm+shared-visited j4 %.2fx wall vs sequential cursor j1 \
      (%.2fx states/sec)\n"
     swarm_speedup swarm_sps_ratio;
-  if
-    p_states <> u_states
-    || fst (pool_arm true) <> fst (pool_arm false)
-    || np_states <> nu_states
-    || fst (net_arm true) <> fst (net_arm false)
-  then begin
-    Printf.eprintf
-      "bench: snapshot pool changed a state count (crash %d/%d, network \
-       %d/%d pooled/unpooled) — the pool must be exploration-neutral\n"
-      p_states u_states np_states nu_states;
-    exit 1
-  end;
+  let _, crash_minor, _, _ = gc_pinned and _, net_minor, _, _ = gc_net in
   Printf.printf
-    "snapshot pool (crash): %.2fx wall, minor words/state %.0f pooled vs \
-     %.0f unpooled (%.2fx less allocation)\n"
-    pool_speedup p_minor u_minor
-    (u_minor /. Float.max p_minor 1e-9);
-  Printf.printf
-    "snapshot pool (network, capped): %.2fx wall, %.0f states/sec, minor \
-     words/state %.0f pooled vs %.0f unpooled (%.2fx less allocation)\n"
-    net_pool_speedup
+    "mc allocation: crash %.0f minor words/state; network (capped) %.0f \
+     states/sec, %.0f minor words/state\n"
+    crash_minor
     (float_of_int net_states /. net_secs)
-    np_minor nu_minor
-    (nu_minor /. Float.max np_minor 1e-9);
+    net_minor;
   List.iter
     (fun (name, n, off, off_secs, on, on_secs, reduction) ->
       (* symmetry reduction must be verdict-neutral: both arms clean (or
@@ -1139,10 +1002,10 @@ let run_json path =
       exit 1
   | _ -> ());
   match min_mc_floor with
-  | Some floor when per_sec_of "hashed" < floor ->
+  | Some floor when pinned_sps < floor ->
       Printf.eprintf
-        "bench: hashed states/sec %.0f below the regression floor %.0f\n"
-        (per_sec_of "hashed") floor;
+        "bench: pinned states/sec %.0f below the regression floor %.0f\n"
+        pinned_sps floor;
       exit 1
   | _ -> ()
 

@@ -820,33 +820,6 @@ let budgets_term ~default_states =
   in
   Term.(const combine $ depth $ states $ horizon $ late)
 
-let fp_arg =
-  let doc =
-    "State-fingerprint backend: 'hashed' (zero-marshal canonical hashing \
-     via per-protocol hash_state) or 'marshal' (the Marshal-and-digest \
-     reference path; slower, kept for cross-checking). Counters are \
-     identical across backends."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("hashed", Mc_limits.Fp_hashed); ("marshal", Mc_limits.Fp_marshal);
-           ])
-        Mc_limits.default_fp
-    & info [ "fp-backend" ] ~docv:"BACKEND" ~doc)
-
-let snapshot_pool_arg =
-  let doc =
-    "Recycle machine-snapshot records across DFS nodes instead of \
-     allocating fresh ones on every node (default true). Changes \
-     allocation behaviour only: verdicts, counters and rendered output \
-     are byte-identical either way; CI diffs the two modes."
-  in
-  Arg.(
-    value & opt bool true & info [ "snapshot-pool" ] ~docv:"BOOL" ~doc)
-
 let symmetry_arg =
   let doc =
     "Symmetry reduction: canonicalize state fingerprints under the \
@@ -854,8 +827,7 @@ let symmetry_arg =
      permutation-twin crash candidates and orbit-duplicate frontier \
      items. 'on' (the default) cuts the explored space by the orbit \
      collapse; 'off' restores the historical exploration byte for byte. \
-     Verdicts are identical either way; the marshal fingerprint backend \
-     forces 'off' (raw-byte hashing cannot honor a renaming)."
+     Verdicts are identical either way."
   in
   Arg.(
     value
@@ -911,8 +883,8 @@ let mc_cmd =
              the wall time of the exploration) and the peak visited-table \
              occupancy of any frontier item.")
   in
-  let action protocol n f klass expect budgets fp pool symmetry stats
-      consensus vote0 no_naive msc jobs shared swarm no_swarm =
+  let action protocol n f klass expect budgets symmetry stats consensus vote0
+      no_naive msc jobs shared swarm no_swarm =
     check_system "mc" ~n ~f vote0;
     let vote_sets =
       match vote0 with
@@ -933,7 +905,7 @@ let mc_cmd =
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry ?jobs
+      Mc_run.run ~consensus ?vote_sets ~budgets ~symmetry ?jobs
         ~naive:(not no_naive) ~visited ?swarm:swarm_opt ~protocol ~n ~f
         ~klass ()
     in
@@ -944,9 +916,8 @@ let mc_cmd =
       let c = outcome.Mc_run.counters in
       let per_sec x = float_of_int x /. max elapsed 1e-9 in
       Format.printf
-        "stats: backend %s, %.3fs wall, %.0f states/sec, %.0f \
-         schedules/sec, peak visited-table occupancy %d@."
-        (Mc_limits.fp_backend_to_string fp)
+        "stats: %.3fs wall, %.0f states/sec, %.0f schedules/sec, peak \
+         visited-table occupancy %d@."
         elapsed
         (per_sec c.Mc_limits.states)
         (per_sec c.Mc_limits.schedules)
@@ -977,10 +948,10 @@ let mc_cmd =
         in
         let cost probe =
           let calls = 2_000 in
-          probe Mc_limits.Fp_hashed 100 (* warm-up *);
+          probe 100 (* warm-up *);
           let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
-          probe Mc_limits.Fp_hashed calls;
+          probe calls;
           let t1 = Unix.gettimeofday () in
           let w1 = Gc.minor_words () in
           ( (t1 -. t0) *. 1e9 /. float_of_int calls,
@@ -1039,9 +1010,8 @@ let mc_cmd =
       const action $ protocol_arg $ mc_n_arg $ mc_f_arg $ class_arg
       $ expect_arg
       $ budgets_term ~default_states:400_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ stats_arg $ consensus_arg
-      $ vote0_arg $ no_naive_arg $ msc_arg $ jobs_arg $ shared_visited_arg
-      $ swarm_arg $ no_swarm_arg)
+      $ symmetry_arg $ stats_arg $ consensus_arg $ vote0_arg $ no_naive_arg
+      $ msc_arg $ jobs_arg $ shared_visited_arg $ swarm_arg $ no_swarm_arg)
   in
   Cmd.v
     (Cmd.info "mc"
@@ -1052,14 +1022,13 @@ let mc_cmd =
     term
 
 let mctable_cmd =
-  let action n f budgets fp pool symmetry jobs shared =
+  let action n f budgets symmetry jobs shared =
     check_system "mctable" ~n ~f [];
     let visited =
       if shared then Mc_limits.Shared else Mc_limits.default_visited
     in
     let text, ok =
-      Table_mc.render_checked ~budgets ~fp ~pool ~symmetry ?jobs ~visited ~n
-        ~f ()
+      Table_mc.render_checked ~budgets ~symmetry ?jobs ~visited ~n ~f ()
     in
     print_string text;
     gate "mctable" ok
@@ -1068,8 +1037,7 @@ let mctable_cmd =
     Term.(
       const action $ mc_n_arg $ mc_f_arg
       $ budgets_term ~default_states:120_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ jobs_arg
-      $ shared_visited_arg)
+      $ symmetry_arg $ jobs_arg $ shared_visited_arg)
   in
   Cmd.v
     (Cmd.info "mctable"

@@ -66,19 +66,15 @@ let on_timeout env state ~id =
       | Some _ | None -> (state, []))
   | Some _ | None -> (state, [])
 
-let hash_state =
-  Some
-    (fun h s ->
-      Fingerprint.add_bool h s.known_yes;
-      Fingerprint.add_bool h s.known_no;
-      Fingerprint.add_bool h s.proposed;
-      Fingerprint.add_bool h s.decided)
+let hash_state h s =
+  Fingerprint.add_bool h s.known_yes;
+  Fingerprint.add_bool h s.known_no;
+  Fingerprint.add_bool h s.proposed;
+  Fingerprint.add_bool h s.decided
 
-let hash_msg =
-  Some
-    (fun h (Known { yes; no }) ->
-      Fingerprint.add_bool h yes;
-      Fingerprint.add_bool h no)
+let hash_msg h (Known { yes; no }) =
+  Fingerprint.add_bool h yes;
+  Fingerprint.add_bool h no
 
 (* Rank-oblivious flooding: rounds are counted, never attributed. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

@@ -17,7 +17,7 @@ let on_propose _env () _v =
 let on_deliver _env () ~src:_ (m : msg) = (match m with _ -> .)
 let on_timeout _env () ~id:_ = ((), [])
 
-let hash_state = Some (fun (_ : Fingerprint.t) () -> ())
+let hash_state (_ : Fingerprint.t) () = ()
 
-let hash_msg = Some (fun (_ : Fingerprint.t) (m : msg) -> (match m with _ -> .))
+let hash_msg (_ : Fingerprint.t) (m : msg) = (match m with _ -> .)
 let symmetry ~n ~f:_ = Symmetry.full ~n

@@ -221,59 +221,55 @@ let fp_accepted h = function
       fp_ballot h b;
       fp_vote h v
 
-let hash_state =
-  Some
-    (fun h s ->
-      fp_ballot h s.promised;
-      fp_accepted h s.accepted;
-      (match s.proposal with
-      | None -> fp h 0
-      | Some v ->
-          fp h 1;
-          fp_vote h v);
-      fp h s.attempt;
-      fp_ballot h s.ballot;
-      fp h
-        (match s.phase with
-        | Idle -> 0
-        | Preparing -> 1
-        | Accepting -> 2
-        | Learned -> 3);
-      Fingerprint.add_pid_assoc h fp_accepted s.promises;
-      Fingerprint.add_pid_set h s.accepts;
-      fp_ballot h s.highest_seen;
-      match s.decided_value with
-      | None -> fp h 0
-      | Some v ->
-          fp h 1;
-          fp_vote h v)
+let hash_state h s =
+  fp_ballot h s.promised;
+  fp_accepted h s.accepted;
+  (match s.proposal with
+  | None -> fp h 0
+  | Some v ->
+      fp h 1;
+      fp_vote h v);
+  fp h s.attempt;
+  fp_ballot h s.ballot;
+  fp h
+    (match s.phase with
+    | Idle -> 0
+    | Preparing -> 1
+    | Accepting -> 2
+    | Learned -> 3);
+  Fingerprint.add_pid_assoc h fp_accepted s.promises;
+  Fingerprint.add_pid_set h s.accepts;
+  fp_ballot h s.highest_seen;
+  match s.decided_value with
+  | None -> fp h 0
+  | Some v ->
+      fp h 1;
+      fp_vote h v
 
-let hash_msg =
-  Some
-    (fun h m ->
-      match m with
-      | Prepare b ->
-          fp h 0;
-          fp_ballot h b
-      | Promise { ballot; accepted } ->
-          fp h 1;
-          fp_ballot h ballot;
-          fp_accepted h accepted
-      | Nack { ballot; promised } ->
-          fp h 2;
-          fp_ballot h ballot;
-          fp_ballot h promised
-      | Accept (b, v) ->
-          fp h 3;
-          fp_ballot h b;
-          fp_vote h v
-      | Accepted (b, v) ->
-          fp h 4;
-          fp_ballot h b;
-          fp_vote h v
-      | Decided v ->
-          fp h 5;
-          fp_vote h v)
+let hash_msg h m =
+  match m with
+  | Prepare b ->
+      fp h 0;
+      fp_ballot h b
+  | Promise { ballot; accepted } ->
+      fp h 1;
+      fp_ballot h ballot;
+      fp_accepted h accepted
+  | Nack { ballot; promised } ->
+      fp h 2;
+      fp_ballot h ballot;
+      fp_ballot h promised
+  | Accept (b, v) ->
+      fp h 3;
+      fp_ballot h b;
+      fp_vote h v
+  | Accepted (b, v) ->
+      fp h 4;
+      fp_ballot h b;
+      fp_vote h v
+  | Decided v ->
+      fp h 5;
+      fp_vote h v
 
 (* Every process runs proposer + acceptor + learner identically; rank
    enters only through ballot encoding, which [fp_ballot] renames. Retry

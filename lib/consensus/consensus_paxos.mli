@@ -27,10 +27,10 @@ val retry_base_delay : u:Sim_time.t -> Sim_time.t
 (** First retry timeout (4·U); doubles on each failed attempt, capped at
     2^8 · 4 · U. Exposed for tests. *)
 
-val hash_state : state Proto.state_hasher option
+val hash_state : state Proto.state_hasher
 (** See {!Proto.PROTOCOL.hash_state}. *)
 
-val hash_msg : msg Proto.msg_hasher option
+val hash_msg : msg Proto.msg_hasher
 (** See {!Proto.CONSENSUS.hash_msg}. *)
 
 val symmetry : n:int -> f:int -> Symmetry.t

@@ -20,7 +20,7 @@ let on_propose _env state v =
 let on_deliver _env _state ~src:_ (m : msg) = (match m with _ -> .)
 let on_timeout _env state ~id:_ = (state, [])
 
-let hash_state = Some (fun h s -> Fingerprint.add_bool h s.decided)
+let hash_state h s = Fingerprint.add_bool h s.decided
 
-let hash_msg = Some (fun (_ : Fingerprint.t) (m : msg) -> (match m with _ -> .))
+let hash_msg (_ : Fingerprint.t) (m : msg) = (match m with _ -> .)
 let symmetry ~n ~f:_ = Symmetry.full ~n

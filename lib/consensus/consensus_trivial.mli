@@ -16,10 +16,10 @@ val on_deliver :
 
 val on_timeout : Proto.env -> state -> id:string -> state * msg Proto.action list
 
-val hash_state : state Proto.state_hasher option
+val hash_state : state Proto.state_hasher
 (** See {!Proto.PROTOCOL.hash_state}. *)
 
-val hash_msg : msg Proto.msg_hasher option
+val hash_msg : msg Proto.msg_hasher
 (** See {!Proto.CONSENSUS.hash_msg}. *)
 
 val symmetry : n:int -> f:int -> Symmetry.t

@@ -186,7 +186,7 @@ let add_pid_assoc h f l =
 
 (* Strings are folded eight bytes at a word (the top byte loses one bit to
    the int63 truncation; the length word disambiguates) plus a bytewise
-   tail. Used by the [Marshal]-fallback hasher, so longer inputs matter. *)
+   tail. *)
 let add_string h s =
   let len = String.length s in
   add_int h len;
@@ -214,17 +214,6 @@ let avalanche x =
 let digest_d1 h = avalanche h.a
 let digest_d2 h = avalanche (h.b lxor h.a)
 let digest h = { d1 = digest_d1 h; d2 = digest_d2 h }
-
-(* A digest for callers that already hold a canonical byte string (the
-   model checker's Marshal-digest fallback backend): both lanes are
-   derived from an MD5 of the bytes, so digest equality coincides with
-   byte equality exactly as the marshalled-string fingerprints did. *)
-let of_bytes s =
-  let md5 = Digest.string s in
-  {
-    d1 = Int64.to_int (String.get_int64_le md5 0);
-    d2 = Int64.to_int (String.get_int64_le md5 8);
-  }
 
 let equal x y = x.d1 = y.d1 && x.d2 = y.d2
 let pp ppf d = Format.fprintf ppf "%015x:%015x" (d.d1 land max_int) (d.d2 land max_int)

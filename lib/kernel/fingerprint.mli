@@ -78,10 +78,5 @@ val digest_d2 : t -> int
 (** The two lanes {!digest} would return, without allocating the
     record. *)
 
-val of_bytes : string -> digest
-(** Digest of a canonical byte string (via MD5, so digest equality is
-    byte equality up to MD5 collisions) — the [Marshal]-fallback backend
-    of the model checker. *)
-
 val equal : digest -> digest -> bool
 val pp : Format.formatter -> digest -> unit

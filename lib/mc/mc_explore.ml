@@ -106,18 +106,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     votes : Vote.t array;
     klass : exec_class;
     budgets : Mc_limits.budgets;
-    fp : Mc_limits.fp_backend;
-    pool : bool;
-        (* recycle machine/context snapshot records across DFS nodes;
-           observable behaviour (verdicts, counters, output bytes) is
-           identical with the pool on and off *)
     symmetry : bool;
         (* canonicalize fingerprints under the machine's process-
            permutation group (refined by the vote assignment), collapsing
-           orbit-equivalent states to one visited entry. Hashed backend
-           only: the marshal backend hashes raw bytes in which pids
-           escape the renaming, so it always runs with the trivial
-           group. *)
+           orbit-equivalent states to one visited entry *)
   }
 
   (* ---- pending events -------------------------------------------- *)
@@ -134,8 +126,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     pl_id : int;
         (* intern id of [payload]: equal ids iff structurally equal
            payloads, stable for the lifetime of the context, so the
-           hashed fingerprint covers an in-flight message by one word
-           instead of remarshalling its payload *)
+           fingerprint covers an in-flight message by one word instead
+           of hashing its payload *)
     sent_mc : Sim_time.t;
     nominal : Sim_time.t;  (* sent_mc + u: the synchronous slot *)
   }
@@ -241,7 +233,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     sym_perms : (int array * int array) array;
         (* (sigma, sigma inverse) per candidate renaming of the vote-
            refined group, identity first; [||] when canonicalization is
-           off, the backend is marshal, or the group is trivial *)
+           off or the group is trivial *)
     sym_d1 : int array;
     sym_d2 : int array;
         (* per-permutation digest lanes of the last [fingerprint_sym] call *)
@@ -326,11 +318,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      stay interchangeable only when the machine's declared group agrees
      AND their input votes match: votes are not part of the fingerprint
      (each visited table's scope is a single vote assignment), so a
-     renaming must fix the vote partition to be faithful. The marshal
-     backend hashes raw bytes in which pids escape the renaming, so it
-     always degrades to [None]. *)
+     renaming must fix the vote partition to be faithful. *)
   let sym_group cfg =
-    if not (cfg.symmetry && cfg.fp = Mc_limits.Fp_hashed) then None
+    if not cfg.symmetry then None
     else
       let g =
         Symmetry.refine
@@ -424,7 +414,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     {
       cfg;
-      m = M.create ~pool:cfg.pool ~env_of ~n:cfg.n ~u:cfg.u ~sink ();
+      m = M.create ~env_of ~n:cfg.n ~u:cfg.u ~sink ();
       box_msgs;
       box_self;
       box_timers;
@@ -522,7 +512,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     end
 
   let save ctx =
-    if ctx.cfg.pool then adopt_pool ctx;
+    adopt_pool ctx;
     match ctx.snap_pool with
     | s :: rest ->
         ctx.snap_pool <- rest;
@@ -558,7 +548,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         }
 
   let release ctx s =
-    if ctx.cfg.pool && not s.cs_pooled then begin
+    if not s.cs_pooled then begin
       s.cs_pooled <- true;
       M.release ctx.m s.cs_m;
       if ctx.snap_owner = (Domain.self () :> int) then
@@ -979,7 +969,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* ---- state fingerprints ------------------------------------------ *)
 
-  (* Canonical multiset orders for the hashed backend. The message order
+  (* Canonical multiset orders for the fingerprint. The message order
      is totalized by uid: ties on the hashed keys can only be duplicate
      sends (same sender, instant, destination, payload), which share
      their overtaken bit, so the digest is input-order-independent. *)
@@ -1007,13 +997,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         let c = compare (layer_code a.t_layer) (layer_code b.t_layer) in
         if c <> 0 then c else String.compare a.t_id b.t_id
 
-  (* The zero-marshal backend: feed the same canonical facts the Marshal
-     backend serializes — scheduler clock and budgets, every process's
-     protocol/consensus state (through [hash_state]), crash/decision
-     flags, and the sorted multisets of pending deliveries and timers —
-     straight into the word hasher. In-flight payloads are covered by
-     their intern id, so a message costs five words however large its
-     payload is. *)
+  (* The state fingerprint: feed the canonical facts of a checker state —
+     scheduler clock and budgets, every process's protocol/consensus
+     state (through [hash_state]), crash/decision flags, and the sorted
+     multisets of pending deliveries and timers — straight into the word
+     hasher. In-flight payloads are covered by their intern id, so a
+     message costs five words however large its payload is. [test_mc]
+     checks that these digests partition the states exactly as a
+     marshal-everything digest does. *)
   let fingerprint_hashed ctx =
     let h = ctx.fp_acc in
     Fingerprint.reset h;
@@ -1244,59 +1235,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     ctx.sym_argmin <- !best;
     { Fingerprint.d1 = ctx.sym_d1.(!best); d2 = ctx.sym_d2.(!best) }
 
-  (* The historical backend, verbatim up to the digest representation:
-     marshal everything, MD5 the bytes. Kept as the semantic reference
-     the hashed backend is pinned against (CI compares mctable counters
-     across backends). Marshalled with [No_sharing], so the bytes depend
-     on values only: a state whose parts are physically shared (a vote
-     set handed on uncopied) marshals like its copied twin. *)
-  let fingerprint_marshal ctx =
-    let n = ctx.cfg.n in
-    let procs =
-      List.init n (fun i ->
-          let p = Pid.of_index i in
-          ( Marshal.to_string (M.pstate ctx.m p) [ Marshal.No_sharing ],
-            Marshal.to_string (M.cstate ctx.m p) [ Marshal.No_sharing ],
-            M.is_crashed ctx.m p,
-            Option.map snd (M.decisions ctx.m).(i),
-            M.cons_handed ctx.m p ))
-    in
-    let msgs =
-      List.sort compare
-        (List.map
-           (fun mg ->
-             ( mg.nominal,
-               Pid.index mg.src,
-               Pid.index mg.dst,
-               is_overtaken ctx mg,
-               Marshal.to_string mg.payload [ Marshal.No_sharing ] ))
-           ctx.pending_msgs)
-    in
-    let timers =
-      List.sort compare
-        (List.map
-           (fun t -> (t.t_at, Pid.index t.t_pid, t.t_layer, t.t_id))
-           ctx.pending_timers)
-    in
-    Fingerprint.of_bytes
-      (Marshal.to_string
-         ( ctx.clock_t,
-           ctx.clock_k,
-           ctx.proposed,
-           ctx.late_count,
-           ctx.someone_no,
-           ctx.crashes_left,
-           procs,
-           msgs,
-           timers )
-         [ Marshal.No_sharing ])
-
   let fingerprint ctx =
-    match ctx.cfg.fp with
-    | Mc_limits.Fp_hashed ->
-        if Array.length ctx.sym_perms = 0 then fingerprint_hashed ctx
-        else fingerprint_sym ctx
-    | Mc_limits.Fp_marshal -> fingerprint_marshal ctx
+    if Array.length ctx.sym_perms = 0 then fingerprint_hashed ctx
+    else fingerprint_sym ctx
 
   (* ---- sleep keys in canonical coordinates ------------------------- *)
 
@@ -1968,14 +1909,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     vote_sets : Vote.t array list;
     klass : exec_class;
     budgets : Mc_limits.budgets;
-    fp : Mc_limits.fp_backend;
-    pool : bool;  (** recycle snapshot records across DFS nodes *)
     symmetry : bool;
         (** canonicalize fingerprints under the protocol's declared
             process-permutation group, prune permutation-twin crash
             candidates and orbit-duplicate frontier items. Verdicts are
             unaffected; the states/transitions/schedules counters shrink
-            by the orbit collapse. Ignored (off) under [Fp_marshal]. *)
+            by the orbit collapse. *)
     jobs : int option;
     naive : bool;  (** also compute the naive schedule count (2nd pass) *)
     visited : Mc_limits.visited_mode;
@@ -2107,8 +2046,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         votes;
         klass = p.klass;
         budgets = p.budgets;
-        fp = p.fp;
-        pool = p.pool;
         symmetry = p.symmetry;
       }
     in
@@ -2188,7 +2125,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            it, and symmetry-deduplicated items would undercount it — the
            naive number rates the space, not the reduction *)
         let count_items =
-          if swarm_on || (p.symmetry && p.fp = Mc_limits.Fp_hashed) then
+          if swarm_on || p.symmetry then
             List.concat_map
               (fun votes ->
                 let cfg = mk_cfg votes in
@@ -2242,8 +2179,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         votes = Array.make n Vote.yes;
         klass = { allow_crashes = false; allow_late = false };
         budgets = Mc_limits.default_budgets ~u;
-        fp = Mc_limits.default_fp;
-        pool = true;
         symmetry = false;
       }
     in

@@ -8,22 +8,6 @@ type budgets = {
 let default_budgets ~u =
   { max_depth = 10_000; max_states = 400_000; horizon = 12 * u; max_late = 4 }
 
-type fp_backend = Fp_hashed | Fp_marshal
-
-let default_fp = Fp_hashed
-
-let fp_backend_of_string = function
-  | "hashed" -> Some Fp_hashed
-  | "marshal" -> Some Fp_marshal
-  | _ -> None
-
-let fp_backend_to_string = function
-  | Fp_hashed -> "hashed"
-  | Fp_marshal -> "marshal"
-
-(* Symmetry canonicalization is on by default for the hashed backend;
-   the marshal backend cannot honor a renaming (it hashes raw bytes in
-   which pids escape), so callers force it off there. *)
 let default_symmetry = true
 
 type visited_mode = Per_item | Shared
@@ -98,7 +82,8 @@ let exhausted c = not (c.budget_hit || c.depth_cuts > 0)
 
 (* The symmetry suffix is appended only when canonicalization actually
    ran: symmetry-off (and trivial-group) runs print byte-identically to
-   the historical format, which the mctable neutrality CI diff pins. *)
+   the historical format, which test/golden/mctable_n3_f1_symmetry_off.txt
+   pins. *)
 let pp_counters ppf c =
   Format.fprintf ppf
     "states %d, transitions %d, schedules %d (terminals %d, horizon-cut \

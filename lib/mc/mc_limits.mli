@@ -18,25 +18,10 @@ type budgets = {
 
 val default_budgets : u:Sim_time.t -> budgets
 
-type fp_backend =
-  | Fp_hashed
-      (** canonical zero-marshal hashing through
-          {!Proto.PROTOCOL.hash_state} and {!Fingerprint} (the default) *)
-  | Fp_marshal
-      (** the historical [Marshal]-and-digest path, kept as a semantic
-          reference: the CI smoke job pins that both backends produce
-          byte-identical [mctable] counters *)
-
-val default_fp : fp_backend
-val fp_backend_of_string : string -> fp_backend option
-val fp_backend_to_string : fp_backend -> string
-
 val default_symmetry : bool
 (** Whether the checker canonicalizes fingerprints under the protocol's
     declared process-permutation group ({!Proto.PROTOCOL.symmetry}) by
-    default. Only meaningful with {!Fp_hashed}: the marshal backend
-    hashes raw bytes in which pids escape the renaming, so callers force
-    symmetry off there. *)
+    default. *)
 
 type visited_mode =
   | Per_item
@@ -71,8 +56,8 @@ type counters = {
   mutable peak_visited : int;
       (** largest visited-table occupancy of any frontier item (merged
           with [max], not [+]). Deliberately absent from {!pp_counters}
-          so the [mctable] artifact stays byte-stable across backends
-          and job counts. *)
+          so the [mctable] artifact stays byte-stable across job
+          counts. *)
   mutable canon_calls : int;
       (** fingerprints computed with a non-trivial permutation group
           installed (zero exactly when symmetry reduction was off or the

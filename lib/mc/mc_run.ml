@@ -48,9 +48,8 @@ type outcome = {
 let clean o = o.violation = None
 
 let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
-    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?jobs
-    ?(naive = false) ?(visited = Mc_limits.default_visited) ?swarm ~protocol
-    ~n ~f ~klass () =
+    ?(symmetry = Mc_limits.default_symmetry) ?jobs ?(naive = false)
+    ?(visited = Mc_limits.default_visited) ?swarm ~protocol ~n ~f ~klass () =
   let reg = Registry.find_exn protocol in
   let module P = (val reg.Registry.proto) in
   let module C =
@@ -66,14 +65,6 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
   (* forced swarm dedups through the shared table whatever the caller's
      [?visited] said; reporting [Shared] keeps the counter caveat honest *)
   let visited = if swarm = Some true then Mc_limits.Shared else visited in
-  (* symmetry canonicalization needs the renaming-aware hashed backend;
-     under marshal it silently stays off rather than failing the run *)
-  let symmetry =
-    (match symmetry with
-    | Some b -> b
-    | None -> Mc_limits.default_symmetry)
-    && fp = Mc_limits.Fp_hashed
-  in
   let allow_crashes, allow_late = flags_of_class klass in
   let r =
     E.run
@@ -84,8 +75,6 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
         vote_sets;
         klass = { E.allow_crashes; allow_late };
         budgets;
-        fp;
-        pool;
         symmetry;
         jobs;
         naive;
@@ -139,9 +128,9 @@ let canonical ?(consensus = Registry.Paxos) ~protocol ~n ~f ?u () =
 (* A fingerprint sampler: advance a context [prefix_steps] transitions
    along the engine-canonical order so it holds a representative
    mid-exploration state (live automata, in-flight messages, armed
-   timers), then return a closure that recomputes its fingerprint with
-   either backend. Benchmarks time the closure; context preparation
-   stays outside the measured region. *)
+   timers), then return a closure that recomputes its fingerprint.
+   Benchmarks time the closure; context preparation stays outside the
+   measured region. *)
 let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
     ?(prefix_steps = 6) ?(symmetry = false) ?votes ~protocol ~n ~f ~klass
     () =
@@ -162,8 +151,6 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
       votes = Option.value votes ~default:(Array.make n Vote.yes);
       klass = { E.allow_crashes; allow_late };
       budgets = Mc_limits.default_budgets ~u;
-      fp = Mc_limits.default_fp;
-      pool = true;
       symmetry;
     }
   in
@@ -176,20 +163,14 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
        | cand :: _ -> ignore (E.exec_step ctx cand)
      done
    with Exit -> ());
-  fun backend calls ->
-    match (backend : Mc_limits.fp_backend) with
-    | Mc_limits.Fp_hashed ->
-        (* [E.fingerprint] dispatches on the context: with [~symmetry]
-           and a non-trivial group this times the full canonicalization
-           (all renamings + orbit minimum), otherwise the plain single
-           hash — the pair is the bench's canonicalization ns/call *)
-        for _ = 1 to calls do
-          ignore (E.fingerprint ctx)
-        done
-    | Mc_limits.Fp_marshal ->
-        for _ = 1 to calls do
-          ignore (E.fingerprint_marshal ctx)
-        done
+  (* [E.fingerprint] dispatches on the context: with [~symmetry] and a
+     non-trivial group this times the full canonicalization (all
+     renamings + orbit minimum), otherwise the plain single hash — the
+     pair is the bench's canonicalization ns/call *)
+  fun calls ->
+    for _ = 1 to calls do
+      ignore (E.fingerprint ctx)
+    done
 
 let verdict_string o =
   match o.violation with

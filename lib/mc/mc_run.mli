@@ -42,8 +42,6 @@ val run :
   ?u:Sim_time.t ->
   ?vote_sets:Vote.t array list ->
   ?budgets:Mc_limits.budgets ->
-  ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   ?naive:bool ->
@@ -75,18 +73,12 @@ val run :
     at four or more effective jobs (the scale where the walks win — see
     DESIGN.md).
 
-    [~pool] (default [true]) recycles snapshot records across DFS nodes
-    (strictly per-domain; see {!Machine.S.release}); it changes
-    allocation only, never verdicts, counters or output bytes.
-
     [~symmetry] (default {!Mc_limits.default_symmetry}) canonicalizes
     fingerprints under the protocol's declared process-permutation group
     ({!Proto.PROTOCOL.symmetry}, vote-refined), prunes permutation-twin
     crash candidates and orbit-duplicate frontier items. Verdicts are
     unaffected (a violation below a pruned branch has a permutation
     image below a kept one); the counters shrink by the orbit collapse.
-    Forced off under [~fp:Fp_marshal], whose raw-byte hashing cannot
-    honor a renaming.
     @raise Not_found on unknown protocol names. *)
 
 type canonical = {
@@ -117,19 +109,18 @@ val fingerprint_sampler :
   f:int ->
   klass:exec_class ->
   unit ->
-  Mc_limits.fp_backend -> int -> unit
+  int -> unit
 (** [fingerprint_sampler ... ()] prepares one checker context advanced
     [prefix_steps] transitions into the canonical schedule and returns
-    [probe]: [probe backend calls] recomputes the context's state
-    fingerprint [calls] times with the chosen backend. For isolating the
-    per-call fingerprint cost from the rest of the exploration loop
-    (context preparation happens before [probe] is returned, so callers
-    time only the fingerprint work). With [~symmetry:true] the hashed
-    backend times the full canonicalization — every group renaming plus
-    the orbit minimum — so the delta against the default sampler is the
-    per-call cost of symmetry reduction. [votes] (default: every process
-    votes yes) refines the group as in an exploration of that vote
-    vector, so pass the vector a run explores to time its group. *)
+    [probe]: [probe calls] recomputes the context's state fingerprint
+    [calls] times. For isolating the per-call fingerprint cost from the rest
+    of the exploration loop (context preparation happens before [probe] is
+    returned, so callers time only the fingerprint work). With
+    [~symmetry:true] the probe times the full canonicalization — every group
+    renaming plus the orbit minimum — so the delta against the default
+    sampler is the per-call cost of symmetry reduction. [votes] (default:
+    every process votes yes) refines the group as in an exploration of that
+    vote vector, so pass the vector a run explores to time its group. *)
 
 val verdict_string : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit

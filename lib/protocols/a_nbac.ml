@@ -164,34 +164,30 @@ let guards = []
 let on_guard _env _state ~id = failwith ("A_nbac: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.decision;
-      fp_bool h s.decided;
-      fp_bool h s.delivered;
-      fp_bool h s.relayed;
-      fp_int h s.phase;
-      fp_vote h s.vote;
-      fp_bool h s.delivered_v;
-      fp_pids h s.collection_v;
-      fp_pids h s.collection_b;
-      fp_bool h s.noop;
-      fp_int h s.phase0)
+  fp_vote h s.decision;
+  fp_bool h s.decided;
+  fp_bool h s.delivered;
+  fp_bool h s.relayed;
+  fp_int h s.phase;
+  fp_vote h s.vote;
+  fp_bool h s.delivered_v;
+  fp_pids h s.collection_v;
+  fp_pids h s.collection_b;
+  fp_bool h s.noop;
+  fp_int h s.phase0
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | Chain v ->
-          fp_int h 0;
-          fp_vote h v
-      | V0 -> fp_int h 1
-      | B0 -> fp_int h 2
-      | Ack_v -> fp_int h 3
-      | Ack_b -> fp_int h 4)
+  match m with
+  | Chain v ->
+      fp_int h 0;
+      fp_vote h v
+  | V0 -> fp_int h 1
+  | B0 -> fp_int h 2
+  | Ack_v -> fp_int h 3
+  | Ack_b -> fp_int h 4
 
 (* The chain overlay is rank-determined: no two processes are
    interchangeable. *)

@@ -33,17 +33,13 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Av_nbac_delay: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_bool h s.decided;
-      fp_vote h s.decision;
-      Fingerprint.add_pid_set h s.heard_from)
+  fp_bool h s.decided;
+  fp_vote h s.decision;
+  Fingerprint.add_pid_set h s.heard_from
 
-let hash_msg =
-  let open Proto_util in
-  Some (fun h (V v) -> fp_vote h v)
+let hash_msg h (V v) = Proto_util.fp_vote h v
 
 (* Rank-oblivious: every process broadcasts and collects identically. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

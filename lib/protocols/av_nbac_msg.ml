@@ -68,26 +68,22 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Av_nbac_msg: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.votes;
-      fp_bool h s.received;
-      Fingerprint.add_pid_set h s.collection;
-      fp_bool h s.decided)
+  fp_vote h s.votes;
+  fp_bool h s.received;
+  Fingerprint.add_pid_set h s.collection;
+  fp_bool h s.decided
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | V v ->
-          fp_int h 0;
-          fp_vote h v
-      | B b ->
-          fp_int h 1;
-          fp_vote h b)
+  match m with
+  | V v ->
+      fp_int h 0;
+      fp_vote h v
+  | B b ->
+      fp_int h 1;
+      fp_vote h b
 
 (* [Pn] is the hub; the spokes run identical code. *)
 let symmetry ~n ~f:_ = Symmetry.rank_range ~n ~lo:1 ~hi:(n - 1)

@@ -35,15 +35,13 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Calvin_commit: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.vote;
-      fp_bool h s.saw_zero;
-      fp_bool h s.decided)
+  fp_vote h s.vote;
+  fp_bool h s.saw_zero;
+  fp_bool h s.decided
 
-let hash_msg = Some (fun (_ : Fingerprint.t) Zero -> ())
+let hash_msg (_ : Fingerprint.t) Zero = ()
 
 (* Rank-oblivious: zeroes are broadcast, never attributed. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

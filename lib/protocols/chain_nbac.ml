@@ -112,19 +112,15 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Chain_nbac: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.decision;
-      fp_bool h s.decided;
-      fp_bool h s.delivered;
-      fp_bool h s.relayed;
-      fp_int h s.phase)
+  fp_vote h s.decision;
+  fp_bool h s.decided;
+  fp_bool h s.delivered;
+  fp_bool h s.relayed;
+  fp_int h s.phase
 
-let hash_msg =
-  let open Proto_util in
-  Some (fun h (Chain v) -> fp_vote h v)
+let hash_msg h (Chain v) = Proto_util.fp_vote h v
 
 (* The relay order is rank-determined: no two processes are interchangeable. *)
 let symmetry ~n ~f:_ = Symmetry.trivial ~n

@@ -209,37 +209,33 @@ let on_consensus_decide _env state d =
   if state.decided then (state, [])
   else ({ state with decided = true }, [ Proto_util.decide_vote d ])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.votes;
-      fp_bool h s.received_v;
-      fp_bool h s.received_b;
-      fp_bool h s.received_z;
-      fp_int h s.phase;
-      fp_bool h s.decided;
-      fp_bool h s.proposed;
-      fp_pids h s.pending_help)
+  fp_vote h s.votes;
+  fp_bool h s.received_v;
+  fp_bool h s.received_b;
+  fp_bool h s.received_z;
+  fp_int h s.phase;
+  fp_bool h s.decided;
+  fp_bool h s.proposed;
+  fp_pids h s.pending_help
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | V v ->
-          fp_int h 0;
-          fp_vote h v
-      | B b ->
-          fp_int h 1;
-          fp_vote h b
-      | Z z ->
-          fp_int h 2;
-          fp_vote h z
-      | Help -> fp_int h 3
-      | Helped v ->
-          fp_int h 4;
-          fp_vote h v)
+  match m with
+  | V v ->
+      fp_int h 0;
+      fp_vote h v
+  | B b ->
+      fp_int h 1;
+      fp_vote h b
+  | Z z ->
+      fp_int h 2;
+      fp_vote h z
+  | Help -> fp_int h 3
+  | Helped v ->
+      fp_int h 4;
+      fp_vote h v
 
 (* Chain + ring + backup roles are all rank-determined. *)
 let symmetry ~n ~f:_ = Symmetry.trivial ~n

@@ -397,38 +397,34 @@ module Make (Cfg : CONFIG) = struct
       ( { state with decided = true },
         Proto_util.decide_vote d :: cancel_phase_timers )
 
-  let hash_state =
+  let hash_state h s =
     let open Proto_util in
-    Some
-      (fun h s ->
-        fp_int h (match s.phase with Phase0 -> 0 | Phase1 -> 1 | Phase2 -> 2);
-        fp_vote h s.vote;
-        fp_bool h s.proposed;
-        fp_bool h s.decided;
-        fp_vset h s.collection0;
-        fp_assoc_vsets h s.collection1;
-        fp_vset h s.collection_help;
-        fp_bool h s.wait;
-        fp_int h s.cnt;
-        fp_int h s.cnt_help;
-        fp_opt fp_vset h s.sent_ack;
-        fp_pids h s.pending_help)
+    fp_int h (match s.phase with Phase0 -> 0 | Phase1 -> 1 | Phase2 -> 2);
+    fp_vote h s.vote;
+    fp_bool h s.proposed;
+    fp_bool h s.decided;
+    fp_vset h s.collection0;
+    fp_assoc_vsets h s.collection1;
+    fp_vset h s.collection_help;
+    fp_bool h s.wait;
+    fp_int h s.cnt;
+    fp_int h s.cnt_help;
+    fp_opt fp_vset h s.sent_ack;
+    fp_pids h s.pending_help
 
-  let hash_msg =
+  let hash_msg h m =
     let open Proto_util in
-    Some
-      (fun h m ->
-        match m with
-        | V v ->
-            fp_int h 0;
-            fp_vote h v
-        | C coll ->
-            fp_int h 1;
-            fp_vset h coll
-        | Help -> fp_int h 2
-        | Helped coll ->
-            fp_int h 3;
-            fp_vset h coll)
+    match m with
+    | V v ->
+        fp_int h 0;
+        fp_vote h v
+    | C coll ->
+        fp_int h 1;
+        fp_vset h coll
+    | Help -> fp_int h 2
+    | Helped coll ->
+        fp_int h 3;
+        fp_vset h coll
 
   (* [P1..Pf] are the backups and [P_{f+2}..Pn] plain participants;
      [P_{f+1}] plays a reconstructed partial-backup role of its own. The

@@ -36,17 +36,13 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Majority_commit: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_int h s.yes_votes;
-      fp_int h s.heard;
-      fp_bool h s.decided)
+  fp_int h s.yes_votes;
+  fp_int h s.heard;
+  fp_bool h s.decided
 
-let hash_msg =
-  let open Proto_util in
-  Some (fun h (V v) -> fp_vote h v)
+let hash_msg h (V v) = Proto_util.fp_vote h v
 
 (* Rank-oblivious: votes are counted, never attributed. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

@@ -75,28 +75,24 @@ let on_consensus_decide _env state d =
   if state.decided then (state, [])
   else ({ state with decided = true }, [ Proto_util.decide_vote d ])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_int h s.phase;
-      fp_bool h s.proposed;
-      fp_bool h s.decided;
-      fp_vote h s.decision;
-      Fingerprint.add_pid_set h s.collection0;
-      Fingerprint.add_pid_set h s.collection1)
+  fp_int h s.phase;
+  fp_bool h s.proposed;
+  fp_bool h s.decided;
+  fp_vote h s.decision;
+  Fingerprint.add_pid_set h s.collection0;
+  Fingerprint.add_pid_set h s.collection1
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | V v ->
-          fp_int h 0;
-          fp_vote h v
-      | D d ->
-          fp_int h 1;
-          fp_vote h d)
+  match m with
+  | V v ->
+      fp_int h 0;
+      fp_vote h v
+  | D d ->
+      fp_int h 1;
+      fp_vote h d
 
 (* Rank-oblivious: every process broadcasts and collects identically. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

@@ -132,35 +132,31 @@ let on_consensus_decide _env state d =
   if state.decided then (state, [])
   else ({ state with decided = true }, [ Proto_util.decide_vote d ])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.vote;
-      fp_bool h s.decided;
-      fp_bool h s.proposed;
-      fp_vset h s.acceptor_coll;
-      fp_assoc_vsets h s.reports;
-      fp_assoc_vsets h s.replies)
+  fp_vote h s.vote;
+  fp_bool h s.decided;
+  fp_bool h s.proposed;
+  fp_vset h s.acceptor_coll;
+  fp_assoc_vsets h s.reports;
+  fp_assoc_vsets h s.replies
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | Prepared v ->
-          fp_int h 0;
-          fp_vote h v
-      | Report coll ->
-          fp_int h 1;
-          fp_vset h coll
-      | Outcome d ->
-          fp_int h 2;
-          fp_decision h d
-      | Query -> fp_int h 3
-      | Report2 coll ->
-          fp_int h 4;
-          fp_vset h coll)
+  match m with
+  | Prepared v ->
+      fp_int h 0;
+      fp_vote h v
+  | Report coll ->
+      fp_int h 1;
+      fp_vset h coll
+  | Outcome d ->
+      fp_int h 2;
+      fp_decision h d
+  | Query -> fp_int h 3
+  | Report2 coll ->
+      fp_int h 4;
+      fp_vset h coll
 
 (* [P1] is both leader and acceptor; [P2..P_{f+1}] are the other
    acceptors; the remaining resource managers only vote and query. *)

@@ -256,52 +256,48 @@ let fp_status h st =
     | Committed -> 2
     | Aborted -> 3)
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.vote;
-      fp_vote h s.conjunction;
-      Fingerprint.add_pid_set h s.heard_from;
-      Fingerprint.add_pid_set h s.acks;
-      fp_status h s.status;
-      fp_bool h s.decided;
-      fp_bool h s.blocked_seen;
-      Fingerprint.add_pid_assoc h fp_status s.states;
-      Fingerprint.add_pid_set h s.acks2)
+  fp_vote h s.vote;
+  fp_vote h s.conjunction;
+  Fingerprint.add_pid_set h s.heard_from;
+  Fingerprint.add_pid_set h s.acks;
+  fp_status h s.status;
+  fp_bool h s.decided;
+  fp_bool h s.blocked_seen;
+  Fingerprint.add_pid_assoc h fp_status s.states;
+  Fingerprint.add_pid_set h s.acks2
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | V v ->
-          fp_int h 0;
-          fp_vote h v
-      | Precommit -> fp_int h 1
-      | Ack -> fp_int h 2
-      | Outcome d ->
-          fp_int h 3;
-          fp_decision h d
-      | Blocked k ->
-          fp_int h 4;
-          fp_int h k
-      | State_req k ->
-          fp_int h 5;
-          fp_int h k
-      | State_rep (k, s) ->
-          fp_int h 6;
-          fp_int h k;
-          fp_status h s
-      | Precommit2 k ->
-          fp_int h 7;
-          fp_int h k
-      | Ack2 k ->
-          fp_int h 8;
-          fp_int h k
-      | Resolved d ->
-          fp_int h 9;
-          fp_decision h d)
+  match m with
+  | V v ->
+      fp_int h 0;
+      fp_vote h v
+  | Precommit -> fp_int h 1
+  | Ack -> fp_int h 2
+  | Outcome d ->
+      fp_int h 3;
+      fp_decision h d
+  | Blocked k ->
+      fp_int h 4;
+      fp_int h k
+  | State_req k ->
+      fp_int h 5;
+      fp_int h k
+  | State_rep (k, s) ->
+      fp_int h 6;
+      fp_int h k;
+      fp_status h s
+  | Precommit2 k ->
+      fp_int h 7;
+      fp_int h k
+  | Ack2 k ->
+      fp_int h 8;
+      fp_int h k
+  | Resolved d ->
+      fp_int h 9;
+      fp_decision h d
 
 (* [P1] coordinates and [P2..P_{f+1}] are the per-round backups; the
    remaining participants run identical code. Round numbers in messages

@@ -89,26 +89,22 @@ let guards = []
 let on_guard _env _state ~id = failwith ("Two_pc: unknown guard " ^ id)
 let on_consensus_decide _env state _d = (state, [])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.conjunction;
-      Fingerprint.add_pid_set h s.heard_from;
-      fp_bool h s.decided;
-      fp_bool h s.announced)
+  fp_vote h s.conjunction;
+  Fingerprint.add_pid_set h s.heard_from;
+  fp_bool h s.decided;
+  fp_bool h s.announced
 
-let hash_msg =
+let hash_msg h m =
   let open Proto_util in
-  Some
-    (fun h m ->
-      match m with
-      | V v ->
-          fp_int h 0;
-          fp_vote h v
-      | Decision d ->
-          fp_int h 1;
-          fp_vote h d)
+  match m with
+  | V v ->
+      fp_int h 0;
+      fp_vote h v
+  | Decision d ->
+      fp_int h 1;
+      fp_vote h d
 
 (* Only the coordinator's rank matters; participants run identical code. *)
 let symmetry ~n ~f:_ = Symmetry.interchangeable_after_coordinator ~n

@@ -8,8 +8,8 @@ let singleton p v = [ (p, v) ]
 (* [add] and [union] return their first argument itself, uncopied, when
    the result binds no new pid, and otherwise share every binding and
    the longest unchanged tail. A vote set stored in one state and sent
-   in a message is then often one physical list; the model checker's
-   marshal reference hashes with [No_sharing], so this sharing cannot
+   in a message is then often one physical list; the marshal oracle of
+   the checker's tests hashes with [No_sharing], so this sharing cannot
    move its bytes. *)
 let rec add p v = function
   | [] -> [ (p, v) ]

@@ -81,21 +81,17 @@ let on_consensus_decide _env state d =
   if state.decided then (state, [])
   else ({ state with decided = true }, [ Proto_util.decide_vote d ])
 
-let hash_state =
+let hash_state h s =
   let open Proto_util in
-  Some
-    (fun h s ->
-      fp_vote h s.myvote;
-      fp_bool h s.zero;
-      fp_int h s.phase;
-      fp_bool h s.decided;
-      fp_bool h s.proposed;
-      Fingerprint.add_pid_set h s.myack)
+  fp_vote h s.myvote;
+  fp_bool h s.zero;
+  fp_int h s.phase;
+  fp_bool h s.decided;
+  fp_bool h s.proposed;
+  Fingerprint.add_pid_set h s.myack
 
-let hash_msg =
-  let open Proto_util in
-  Some
-    (fun h m -> fp_int h (match m with V -> 0 | B -> 1 | Ack -> 2))
+let hash_msg h m =
+  Proto_util.fp_int h (match m with V -> 0 | B -> 1 | Ack -> 2)
 
 (* Rank-oblivious: relays and acknowledgements follow votes, not ranks. *)
 let symmetry ~n ~f:_ = Symmetry.full ~n

@@ -63,7 +63,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (* per process: current cancellation epoch of each named timer.
            Immutable alists so snapshot/restore share them by reference
            instead of copying a hashtable per process per snapshot. *)
-    pool_on : bool;
     mutable pool : snapshot list;
         (* released snapshot records awaiting recapture *)
     mutable pool_owner : int;
@@ -86,7 +85,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            re-filtering its pending lists on quiet steps *)
   }
 
-  let create ?(pool = false) ?(record_trace = true) ~env_of ~n ~u ~sink () =
+  let create ?(record_trace = true) ~env_of ~n ~u ~sink () =
     let envs = Array.init n (fun i -> env_of (Pid.of_index i)) in
     {
       envs;
@@ -102,7 +101,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       cons_decided = Array.make n false;
       send_budget = Array.make n None;
       timer_epochs = Array.make n [];
-      pool_on = pool;
       pool = [];
       pool_owner = (Domain.self () :> int);
       stamp = 1;
@@ -178,48 +176,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         Hashtbl.add t.tags payload s;
         s
 
-  (* Fingerprinting. The per-protocol canonical hashers are resolved once
-     at functor application; a module without one falls back to hashing
-     its marshalled bytes (equality then means marshal-byte equality,
-     like the checker's original fingerprints). [No_sharing] makes the
-     bytes a function of the value alone: two equal states hash alike
-     whether or not their parts are physically shared. *)
-  let marshal_hasher h s =
-    Fingerprint.add_string h (Marshal.to_string s [ Marshal.No_sharing ])
-
-  let p_hasher =
-    match P.hash_state with Some f -> f | None -> marshal_hasher
-
-  let c_hasher =
-    match C.hash_state with Some f -> f | None -> marshal_hasher
-
-  let hash_pstate t h p = p_hasher h t.pstates.(Pid.index p)
-  let hash_cstate t h p = c_hasher h t.cstates.(Pid.index p)
-
-  let p_msg_hasher =
-    match P.hash_msg with Some f -> f | None -> marshal_hasher
-
-  let c_msg_hasher =
-    match C.hash_msg with Some f -> f | None -> marshal_hasher
+  let hash_pstate t h p = P.hash_state h t.pstates.(Pid.index p)
+  let hash_cstate t h p = C.hash_state h t.cstates.(Pid.index p)
 
   let hash_wire h = function
     | Commit_msg m ->
         Fingerprint.add_int h 0;
-        p_msg_hasher h m
+        P.hash_msg h m
     | Cons_msg m ->
         Fingerprint.add_int h 1;
-        c_msg_hasher h m
+        C.hash_msg h m
 
-  (* The marshal fallbacks hash raw bytes, in which embedded pids escape
-     the renaming — sound only for the identity permutation. A module
-     pair missing any canonical hasher therefore degrades the machine's
-     symmetry to the trivial group rather than risking unsound orbit
-     collapses. *)
-  let symmetry ~n ~f =
-    match (P.hash_state, C.hash_state, P.hash_msg, C.hash_msg) with
-    | Some _, Some _, Some _, Some _ ->
-        Symmetry.meet (P.symmetry ~n ~f) (C.symmetry ~n ~f)
-    | _ -> Symmetry.trivial ~n
+  let symmetry ~n ~f = Symmetry.meet (P.symmetry ~n ~f) (C.symmetry ~n ~f)
 
   let mark_crashed t ~now pid =
     if not (is_crashed t pid) then begin
@@ -565,7 +533,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     end
 
   let snapshot t =
-    if t.pool_on then adopt t;
+    adopt t;
     match t.pool with
     | s :: rest ->
         t.pool <- rest;
@@ -573,7 +541,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | [] -> fresh_snapshot t
 
   let release t s =
-    if t.pool_on && not s.s_pooled then begin
+    if not s.s_pooled then begin
       s.s_pooled <- true;
       if t.pool_owner = (Domain.self () :> int) then t.pool <- s :: t.pool
       (* else: [s] was captured while another domain owned the pool —
@@ -584,36 +552,19 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     Trace.restore t.trace s.s_trace;
     t.crash_count <- s.s_crash_count;
     t.epoch_bumps <- s.s_epoch_bumps;
-    if t.pool_on then begin
-      let stamp = s.s_stamp in
-      for i = 0 to Array.length t.pstates - 1 do
-        if t.last_mut.(i) > stamp then begin
-          t.pstates.(i) <- s.s_pstates.(i);
-          t.cstates.(i) <- s.s_cstates.(i);
-          t.crashed.(i) <- s.s_crashed.(i);
-          t.decisions.(i) <- s.s_decisions.(i);
-          t.cons_decided.(i) <- s.s_cons_decided.(i);
-          t.send_budget.(i) <-
-            Option.map (fun (at, remaining) -> (at, ref remaining))
-              s.s_send_budget.(i);
-          t.timer_epochs.(i) <- s.s_timer_epochs.(i);
-          t.last_mut.(i) <- t.stamp
-        end
-      done
-    end
-    else begin
-      Array.blit s.s_pstates 0 t.pstates 0 (Array.length t.pstates);
-      Array.blit s.s_cstates 0 t.cstates 0 (Array.length t.cstates);
-      Array.blit s.s_crashed 0 t.crashed 0 (Array.length t.crashed);
-      Array.blit s.s_decisions 0 t.decisions 0 (Array.length t.decisions);
-      Array.blit s.s_cons_decided 0 t.cons_decided 0
-        (Array.length t.cons_decided);
-      Array.iteri
-        (fun i b ->
-          t.send_budget.(i) <-
-            Option.map (fun (at, remaining) -> (at, ref remaining)) b)
-        s.s_send_budget;
-      Array.blit s.s_timer_epochs 0 t.timer_epochs 0
-        (Array.length t.timer_epochs)
-    end
+    let stamp = s.s_stamp in
+    for i = 0 to Array.length t.pstates - 1 do
+      if t.last_mut.(i) > stamp then begin
+        t.pstates.(i) <- s.s_pstates.(i);
+        t.cstates.(i) <- s.s_cstates.(i);
+        t.crashed.(i) <- s.s_crashed.(i);
+        t.decisions.(i) <- s.s_decisions.(i);
+        t.cons_decided.(i) <- s.s_cons_decided.(i);
+        t.send_budget.(i) <-
+          Option.map (fun (at, remaining) -> (at, ref remaining))
+            s.s_send_budget.(i);
+        t.timer_epochs.(i) <- s.s_timer_epochs.(i);
+        t.last_mut.(i) <- t.stamp
+      end
+    done
 end

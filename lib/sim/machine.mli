@@ -46,20 +46,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   type t
 
   val create :
-    ?pool:bool -> ?record_trace:bool ->
+    ?record_trace:bool ->
     env_of:(Pid.t -> Proto.env) -> n:int -> u:Sim_time.t -> sink:sink ->
     unit -> t
   (** [env_of] is called once per pid, here: the machine keeps the envs
       and hands each automaton step its pid's env, so a step builds no
       env, and neither the guard loop nor action interpretation
       allocates a closure.
-
-      [?pool] (default [false]) turns on snapshot pooling: {!release}d
-      snapshot records are recycled by the next {!snapshot}, which
-      re-copies only the per-pid slots mutated since the record's own
-      capture, and {!restore} writes back only the slots mutated since
-      the snapshot was taken. Observable behaviour is identical either
-      way; the pool only changes allocation.
 
       [?record_trace] (default [true]) controls whether {!trace}
       accumulates an entry per event. Tracing never feeds back into the
@@ -102,19 +95,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   val hash_pstate : t -> Fingerprint.t -> Pid.t -> unit
   val hash_cstate : t -> Fingerprint.t -> Pid.t -> unit
   (** Feed the process's protocol / consensus state into the accumulator
-      via the module's {!Proto.PROTOCOL.hash_state} canonicalizer, or by
-      hashing its marshalled bytes when the module does not provide one. *)
+      via the module's {!Proto.PROTOCOL.hash_state} canonicalizer. *)
 
   val hash_wire : Fingerprint.t -> wire -> unit
   (** Feed a message payload (layer tag first) through the per-module
-      {!Proto.PROTOCOL.hash_msg} canonicalizers, falling back to
-      marshalled bytes. *)
+      {!Proto.PROTOCOL.hash_msg} canonicalizers. *)
 
   val symmetry : n:int -> f:int -> Symmetry.t
   (** The machine's process-interchangeability group: the meet of the
-      protocol's and the consensus service's declared groups, degraded to
-      {!Symmetry.trivial} when any canonical hasher is missing (marshal
-      fallbacks embed unrenamed pids). *)
+      protocol's and the consensus service's declared groups. *)
 
   (* ---- steps ----------------------------------------------------- *)
 
@@ -146,17 +135,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   type snapshot
 
   val snapshot : t -> snapshot
+  (** Capture the machine's state. A record {!release}d earlier is
+      recycled: only the per-pid slots mutated since that record's own
+      capture are copied again. *)
+
   val restore : t -> snapshot -> unit
   (** [restore t s] rewinds [t] to the exact state captured by
       [snapshot t]: process states, decisions, crashes, budgets, timer
-      epochs and the trace. Sink callbacks are not rewound — the caller
-      owns whatever the sink accumulated. *)
+      epochs and the trace. Only the per-pid slots mutated since the
+      capture are written back. Sink callbacks are not rewound — the
+      caller owns whatever the sink accumulated. *)
 
   val release : t -> snapshot -> unit
   (** Return a snapshot record to the machine's pool for recycling by a
       later {!snapshot}. The caller promises never to {!restore} from it
-      again. No-op when the machine was created without [~pool:true];
-      releasing the same record twice is a no-op.
+      again. Releasing the same record twice is a no-op.
 
       Pools are strictly domain-local: if the machine is driven from a
       new domain, {!snapshot} abandons the records pooled on the old one

@@ -81,10 +81,7 @@ type 'msg msg_hasher = Fingerprint.t -> 'msg -> unit
     {!type:state_hasher} with the same renaming discipline. The model
     checker normally covers an in-flight payload by its intern id (one
     word), but a canonicalization pass must re-hash payloads under the
-    candidate renaming, which is what this hook provides. [None] is only
-    sound for symmetry reduction when the message type embeds no pids and
-    no rank-derived data (the fallback marshals the payload, which is
-    renaming-blind). *)
+    candidate renaming, which is what this hook provides. *)
 
 module type PROTOCOL = sig
   type state
@@ -119,14 +116,11 @@ module type PROTOCOL = sig
 
   val on_guard : env -> state -> id:string -> state * msg action list
 
-  val hash_state : state state_hasher option
-  (** Zero-marshal fingerprinting for the model checker. [None] falls
-      back to hashing [Marshal.to_string state []] — correct but an order
-      of magnitude slower, and additionally sensitive to the physical
-      sharing of the state value where the canonical hasher sees only
-      structure. *)
+  val hash_state : state state_hasher
+  (** The model checker's fingerprint of a process's state (see
+      {!type:state_hasher}). *)
 
-  val hash_msg : msg msg_hasher option
+  val hash_msg : msg msg_hasher
   (** See {!type:msg_hasher}. *)
 
   val symmetry : n:int -> f:int -> Symmetry.t
@@ -150,10 +144,10 @@ module type CONSENSUS = sig
   val on_deliver : env -> state -> src:Pid.t -> msg -> state * msg action list
   val on_timeout : env -> state -> id:string -> state * msg action list
 
-  val hash_state : state state_hasher option
+  val hash_state : state state_hasher
   (** See {!PROTOCOL.hash_state}. *)
 
-  val hash_msg : msg msg_hasher option
+  val hash_msg : msg msg_hasher
   (** See {!type:msg_hasher}. *)
 
   val symmetry : n:int -> f:int -> Symmetry.t

@@ -24,8 +24,6 @@ val rows :
   ?protocols:string list ->
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
-  ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   ?visited:Mc_limits.visited_mode ->
@@ -38,8 +36,6 @@ val render :
   ?protocols:string list ->
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
-  ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   ?visited:Mc_limits.visited_mode ->
@@ -52,8 +48,6 @@ val render_checked :
   ?protocols:string list ->
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
-  ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   ?visited:Mc_limits.visited_mode ->

@@ -66,8 +66,8 @@
       write-ahead entries left on live shards.
     - {b Soak scale}: the service's footprint is the {e live} state, not
       the history — machines and instance records recycle through pools
-      ({!Machine.reset}, disable with [recycle = false]), event slots and
-      Mux slots recycle ({!Mux.retire}), fully resolved instances retire
+      ({!Machine.reset}), event slots and Mux slots recycle
+      ({!Mux.retire}), fully resolved instances retire
       with their atomicity checked incrementally, and [soak = true] swaps
       the exact latency/queue histograms for fixed-bin streaming ones —
       so one run can push millions of transactions from thousands of
@@ -119,10 +119,6 @@ type spec = {
   flush_every : int;
       (** stderr progress line every this many issued transactions;
           0 disables *)
-  recycle : bool;
-      (** pool and reset machines instead of creating one per drive;
-          observable behaviour is identical (the reset-vs-fresh
-          differential in the tests pins this), only allocation changes *)
   max_time : Sim_time.t;  (** safety horizon for the simulated clock *)
   seed : int;
 }
@@ -132,7 +128,7 @@ val default : spec
     (about 0.5705: the 16 hottest keys draw 10% of the accesses), 2 reads
     + 2 writes, batches of up to 8 within half a delay, pipeline depth 64,
     a 64-wait budget, jittered network, no outages, election timeout 12
-    delays, machine recycling on. *)
+    delays. *)
 
 type stats = {
   protocol : string;

@@ -5,10 +5,10 @@ Fails (exit 1) when a required key is missing or a measured quantity is
 non-positive, so a refactor that silently drops a metric from the JSON
 breaks the build instead of the dashboard.
 
---max-minor-words-per-state N additionally gates on the pooled
-minor-allocation rate of both pinned model-checking configurations: a
-change that regresses the DFS hot path back to allocation-heavy code
-trips the ceiling even when the wall-clock numbers are too noisy to.
+--max-minor-words-per-state N additionally gates on the minor-allocation
+rate of both pinned model-checking configurations: a change that
+regresses the DFS hot path back to allocation-heavy code trips the
+ceiling even when the wall-clock numbers are too noisy to.
 """
 import json
 import sys
@@ -32,7 +32,7 @@ def need(cond, what):
         errors.append(what)
 
 
-need(doc.get("schema") == "actable-bench/10", "schema actable-bench/10")
+need(doc.get("schema") == "actable-bench/11", "schema actable-bench/11")
 need(isinstance(doc.get("pairs"), list) and doc["pairs"], "non-empty pairs")
 
 for section in ("nice_run_seconds", "table_seconds"):
@@ -45,24 +45,13 @@ for section in ("nice_run_seconds", "table_seconds"):
 mc = doc.get("mc", {})
 for k in ("protocol", "class", "n", "f", "jobs"):
     need(k in mc, f"mc.{k}")
-backends = mc.get("backends", {})
-for b in ("hashed", "marshal"):
-    be = backends.get(b, {})
-    for k in ("seconds", "states", "schedules", "states_per_sec",
-              "schedules_per_sec"):
-        need(isinstance(be.get(k), (int, float)) and be[k] > 0,
-             f"mc.backends.{b}.{k} > 0")
-need(isinstance(mc.get("hashed_vs_marshal_speedup"), (int, float)),
-     "mc.hashed_vs_marshal_speedup")
-fp = mc.get("fingerprint_ns_per_call", {})
-for k in ("hashed", "marshal", "marshal_vs_hashed"):
-    need(isinstance(fp.get(k), (int, float)) and fp[k] > 0,
-         f"mc.fingerprint_ns_per_call.{k} > 0")
-
-# the two backends must have explored the same space
-h, m = backends.get("hashed", {}), backends.get("marshal", {})
-need(h.get("states") == m.get("states"), "backends agree on states")
-need(h.get("schedules") == m.get("schedules"), "backends agree on schedules")
+pinned = mc.get("pinned", {})
+for k in ("seconds", "states", "schedules", "states_per_sec",
+          "schedules_per_sec"):
+    need(isinstance(pinned.get(k), (int, float)) and pinned[k] > 0,
+         f"mc.pinned.{k} > 0")
+need(isinstance(mc.get("fingerprint_ns_per_call"), (int, float))
+     and mc["fingerprint_ns_per_call"] > 0, "mc.fingerprint_ns_per_call > 0")
 
 # frontier-scheduling matrix: six configs plus derived speedups
 frontier = mc.get("frontier", {})
@@ -104,39 +93,31 @@ for cfg in ("shared_cursor_j1", "shared_cursor_j4", "swarm_shared_j1",
         need(shared_states <= cursor["states"],
              f"mc.frontier.{cfg}.states <= per-item states")
 
-# the per-item frontier rows must match the backend rows (same pinned
-# config, same deterministic mode)
-if isinstance(h.get("states"), (int, float)) and \
+# the per-item frontier rows must match the pinned row (same config,
+# same deterministic mode)
+if isinstance(pinned.get("states"), (int, float)) and \
    isinstance(cursor.get("states"), (int, float)):
-    need(cursor["states"] == h["states"],
-         "frontier per-item states match mc.backends.hashed.states")
+    need(cursor["states"] == pinned["states"],
+         "frontier per-item states match mc.pinned.states")
 
-# gc blocks: one under mc (crash-pinned) and one under mc_network. The
-# pooled and unpooled arms must have explored the same space — the
-# snapshot pool is exploration-neutral by contract — and the pooled
-# minor-allocation rate may be gated by --max-minor-words-per-state.
+# gc blocks: one under mc (crash-pinned) and one under mc_network, each
+# measured on a separate run of its pinned configuration, which must have
+# explored the same space; the minor-allocation rate may be gated by
+# --max-minor-words-per-state.
 def check_gc(block, where):
     gc = block.get("gc", {})
-    for arm in ("pooled", "unpooled"):
-        row = gc.get(arm, {})
-        for k in ("seconds", "states"):
-            need(isinstance(row.get(k), (int, float)) and row[k] > 0,
-                 f"{where}.gc.{arm}.{k} > 0")
-        for k in ("minor_words_per_state", "promoted_words_per_state",
-                  "major_collections"):
-            need(isinstance(row.get(k), (int, float)) and row[k] >= 0,
-                 f"{where}.gc.{arm}.{k} >= 0")
-    p, u = gc.get("pooled", {}), gc.get("unpooled", {})
-    need(p.get("states") == u.get("states"),
-         f"{where}.gc arms agree on states (pool is exploration-neutral)")
-    for k in ("pool_speedup", "minor_words_ratio"):
-        need(isinstance(gc.get(k), (int, float)) and gc[k] > 0,
-             f"{where}.gc.{k} > 0")
+    need(isinstance(gc.get("states"), (int, float)) and gc["states"] > 0,
+         f"{where}.gc.states > 0")
+    for k in ("minor_words_per_state", "promoted_words_per_state",
+              "major_collections"):
+        need(isinstance(gc.get(k), (int, float)) and gc[k] >= 0,
+             f"{where}.gc.{k} >= 0")
+    need(gc.get("states") == block.get("pinned", {}).get("states"),
+         f"{where}.gc.states == {where}.pinned.states")
     if max_minor_words is not None and \
-       isinstance(p.get("minor_words_per_state"), (int, float)):
-        need(p["minor_words_per_state"] <= max_minor_words,
-             f"{where}.gc.pooled.minor_words_per_state <= "
-             f"{max_minor_words:g}")
+       isinstance(gc.get("minor_words_per_state"), (int, float)):
+        need(gc["minor_words_per_state"] <= max_minor_words,
+             f"{where}.gc.minor_words_per_state <= {max_minor_words:g}")
 
 
 check_gc(mc, "mc")
@@ -144,10 +125,10 @@ check_gc(mc, "mc")
 mcn = doc.get("mc_network", {})
 for k in ("protocol", "class", "n", "f", "jobs", "max_states_budget"):
     need(k in mcn, f"mc_network.{k}")
-row = mcn.get("hashed", {})
+row = mcn.get("pinned", {})
 for k in ("seconds", "states", "states_per_sec"):
     need(isinstance(row.get(k), (int, float)) and row[k] > 0,
-         f"mc_network.hashed.{k} > 0")
+         f"mc_network.pinned.{k} > 0")
 check_gc(mcn, "mc_network")
 
 # symmetry-reduction section (since actable-bench/6): three execution-class

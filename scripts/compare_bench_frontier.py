@@ -11,7 +11,8 @@ exit 0; only being invoked with the wrong number of arguments is an
 error. Old reports with any actable-bench/* schema are accepted: rows
 added or renamed by later schemas (the swarm arms of actable-bench/4,
 the cursor arms of actable-bench/10) print as n/a when the old report
-predates them.
+predates them. The pinned checker row moved from mc.backends.hashed to
+mc.pinned in actable-bench/11; both places are read.
 """
 import json
 import sys
@@ -69,15 +70,18 @@ if isinstance(swarm_speedup, (int, float)) and swarm_speedup > 0:
 else:
     parts.append("swarm-vs-sequential n/a")
 
-hashed_old = old.get("mc", {}).get("backends", {}).get("hashed", {}).get(
-    "states_per_sec")
-hashed_new = new.get("mc", {}).get("backends", {}).get("hashed", {}).get(
-    "states_per_sec")
-if isinstance(hashed_old, (int, float)) and hashed_old > 0 and \
-   isinstance(hashed_new, (int, float)) and hashed_new > 0:
-    head = f"pinned hashed {hashed_new:.0f}/s ({hashed_new / hashed_old - 1:+.1%})"
+def pinned_sps(doc):
+    mc = doc.get("mc", {})
+    row = mc.get("pinned") or mc.get("backends", {}).get("hashed", {})
+    v = row.get("states_per_sec") if isinstance(row, dict) else None
+    return v if isinstance(v, (int, float)) and v > 0 else None
+
+
+pinned_old, pinned_new = pinned_sps(old), pinned_sps(new)
+if pinned_old is not None and pinned_new is not None:
+    head = f"pinned {pinned_new:.0f}/s ({pinned_new / pinned_old - 1:+.1%})"
 else:
-    head = "pinned hashed n/a"
+    head = "pinned n/a"
 
 print(f"bench-trend vs {sys.argv[1]}: {head}; frontier: " + "; ".join(parts))
 

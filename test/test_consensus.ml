@@ -25,8 +25,8 @@ module Cons_probe = struct
     if state.decided then (state, [])
     else ({ decided = true }, [ Proto.Decide (Vote.decision_of_vote d) ])
 
-  let hash_state = None
-  let hash_msg = None
+  let hash_state h s = Fingerprint.add_bool h s.decided
+  let hash_msg _h (m : msg) = (match m with _ -> .)
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 

@@ -121,12 +121,12 @@ let test_dpor_prunes () =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprint soundness. The hashed backend replaces marshal-byte
-   equality, so it must (a) give independently rebuilt but structurally
-   equal checker states equal digests, (b) change the digest whenever a
-   vote, a protocol phase, or the pending-message set changes, and
-   (c) drive the exploration to exactly the counters the Marshal backend
-   produces. *)
+(* Fingerprint soundness. The hashed fingerprint stands for equality of
+   the checker state, so it must (a) give independently rebuilt but
+   structurally equal checker states equal digests, (b) change the digest
+   whenever a vote, a protocol phase, or the pending-message set changes,
+   and (c) partition the reachable states exactly as a digest of their
+   marshalled bytes does. *)
 
 module Fp_suite
     (Name : sig
@@ -137,8 +137,7 @@ module Fp_suite
 struct
   module E = Mc_explore.Make (P) (C)
 
-  let cfg ?(pool = true)
-      ?(klass = { E.allow_crashes = true; allow_late = false }) votes =
+  let cfg ?(klass = { E.allow_crashes = true; allow_late = false }) votes =
     {
       E.n = 3;
       f = 1;
@@ -146,8 +145,6 @@ struct
       votes;
       klass;
       budgets = Mc_limits.default_budgets ~u:Sim_time.default_u;
-      fp = Mc_limits.Fp_hashed;
-      pool;
       (* the suite exercises [fingerprint_hashed] directly, so the
          canonicalization layer stays out of the way *)
       symmetry = false;
@@ -202,57 +199,154 @@ struct
             (E.fingerprint_hashed (ctx_at all_yes 0))
             (E.fingerprint_hashed (ctx_at one_no 0))))
 
-  (* Snapshot-pool observational equivalence: a pooled context driven
-     through a random schedule — with save / excursion / restore detours
-     that force snapshot records through the free list — must agree with
-     an unpooled context step for step on digests, and at the end on the
-     rendered trace. The detour executes a sibling candidate before
-     restoring, so the restore always has dirty state to rewind; it runs
-     in BOTH contexts (pooled and legacy full-copy restore) because the
-     payload-intern table and creation counters are deliberately never
-     rewound, so digests are only comparable across contexts with
-     identical histories. *)
-  let pool_equivalence_prop ~label klass =
+  (* The oracle: an MD5 of the facts [E.fingerprint_hashed] feeds, with
+     every automaton state and in-flight payload marshalled by value, so
+     digest equality is byte equality up to MD5 collisions. [No_sharing]
+     makes the bytes a function of the values alone, so two equal states
+     digest alike whether or not their parts are physically shared.
+     Unlike the hashed digest, which covers a payload by its intern id,
+     it depends on nothing the context remembers across paths, so it
+     also compares states of two different contexts. *)
+  let marshal_digest (ctx : E.ctx) =
+    let m = ctx.E.m in
+    let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+    let procs =
+      List.init ctx.E.cfg.E.n (fun i ->
+          let p = Pid.of_index i in
+          ( bytes (E.M.pstate m p),
+            bytes (E.M.cstate m p),
+            E.M.is_crashed m p,
+            Option.map snd (E.M.decisions m).(i),
+            E.M.cons_handed m p ))
+    in
+    let msgs =
+      List.sort compare
+        (List.map
+           (fun (mg : E.pmsg) ->
+             ( mg.E.nominal,
+               Pid.index mg.E.src,
+               Pid.index mg.E.dst,
+               E.is_overtaken ctx mg,
+               bytes mg.E.payload ))
+           ctx.E.pending_msgs)
+    in
+    let timers =
+      List.sort compare
+        (List.map
+           (fun (t : E.ptimer) ->
+             (t.E.t_at, Pid.index t.E.t_pid, t.E.t_layer, t.E.t_id))
+           ctx.E.pending_timers)
+    in
+    let md5 =
+      Digest.string
+        (bytes
+           ( ctx.E.clock_t,
+             ctx.E.clock_k,
+             ctx.E.proposed,
+             ctx.E.late_count,
+             ctx.E.someone_no,
+             ctx.E.crashes_left,
+             procs,
+             msgs,
+             timers ))
+    in
+    {
+      Fingerprint.d1 = Int64.to_int (String.get_int64_le md5 0);
+      d2 = Int64.to_int (String.get_int64_le md5 8);
+    }
+
+  (* The partition property behind the explorer's counters: over every
+     state a plain DFS reaches (deduplicated on the hashed digest, as the
+     explorer does), a hashed digest never stands for two marshal
+     digests — no two distinct states merged — and a marshal digest
+     never splits over two hashed digests — no equal states told apart.
+     Together they make a hashed-keyed exploration count exactly what a
+     marshal-keyed one counts. *)
+  let test_partition votes () =
+    let ctx = E.create_ctx (cfg votes) in
+    let to_marshal = Hashtbl.create 1024 and to_hashed = Hashtbl.create 1024 in
+    let conflicts = ref 0 in
+    let record tbl k v =
+      match Hashtbl.find_opt tbl k with
+      | Some v' ->
+          if not (Fingerprint.equal v v') then incr conflicts;
+          true
+      | None ->
+          Hashtbl.add tbl k v;
+          false
+    in
+    let rec visit () =
+      let h = E.fingerprint_hashed ctx and md = marshal_digest ctx in
+      ignore (record to_hashed md h);
+      if not (record to_marshal h md) then begin
+        let cands = E.enumerate ctx in
+        let snap = E.save ctx in
+        List.iter
+          (fun cand ->
+            E.restore ctx snap;
+            match E.exec_step ctx cand with
+            | Some _ -> () (* a violation ends the path, as in the explorer *)
+            | None -> visit ())
+          cands;
+        E.release ctx snap
+      end
+    in
+    visit ();
+    let classes = Hashtbl.length to_marshal in
+    check tbool (Printf.sprintf "%d classes reached" classes) true
+      (classes > 1);
+    check tint "hashed and marshal digests partition alike" 0 !conflicts
+
+  (* Save/restore exactness: a context driven through a random schedule,
+     taking save / sibling step / restore / release detours at random
+     steps, must stay indistinguishable from a twin that never detours.
+     A detour executes a sibling candidate before restoring, so the
+     restore always has dirty state to rewind, and releasing its record
+     makes a later save recapture it. The twins are compared by marshal
+     digest at every step: the hashed digest covers payloads by intern
+     ids, which the detours' sends may have assigned, so it is compared
+     only within the detouring context, before and after each detour. At
+     the end the rendered traces must match. *)
+  let restore_prop ~label klass =
     QCheck.Test.make ~count:25
-      ~name:(Name.name ^ ": pooled = unpooled over random " ^ label
-             ^ " schedules")
-      QCheck.(pair (list_of_size Gen.(int_range 1 20) (int_range 0 1000)) bool)
-      (fun (choices, excursions) ->
-        let a = E.create_ctx (cfg ~pool:true ~klass all_yes) in
-        let b = E.create_ctx (cfg ~pool:false ~klass all_yes) in
+      ~name:(Name.name ^ ": " ^ label ^ " detours exact")
+      QCheck.(
+        list_of_size Gen.(int_range 1 20) (pair (int_range 0 1000) bool))
+      (fun choices ->
+        let a = E.create_ctx (cfg ~klass all_yes) in
+        let b = E.create_ctx (cfg ~klass all_yes) in
         ignore (E.exec_step a E.S_proposals);
         ignore (E.exec_step b E.S_proposals);
         List.for_all
-          (fun c ->
+          (fun (c, detour) ->
             let ca = E.enumerate a and cb = E.enumerate b in
             let la = List.length ca in
             la = List.length cb
             && (la = 0
                ||
                let i = c mod la in
-               if excursions && la > 1 then
-                 List.iter
-                   (fun (ctx, cands) ->
-                     let s = E.save ctx in
-                     ignore (E.exec_step ctx (List.nth cands ((i + 1) mod la)));
-                     E.restore ctx s;
-                     E.release ctx s)
-                   [ (a, ca); (b, cb) ];
+               let exact =
+                 (not detour) || la < 2
+                 ||
+                 let before = E.fingerprint_hashed a in
+                 let s = E.save a in
+                 ignore (E.exec_step a (List.nth ca ((i + 1) mod la)));
+                 E.restore a s;
+                 E.release a s;
+                 Fingerprint.equal before (E.fingerprint_hashed a)
+               in
                ignore (E.exec_step a (List.nth ca i));
                ignore (E.exec_step b (List.nth cb i));
-               Fingerprint.equal (E.fingerprint_hashed a)
-                 (E.fingerprint_hashed b)))
+               exact && Fingerprint.equal (marshal_digest a) (marshal_digest b)))
           choices
         && Format.asprintf "%a" Trace.pp (E.M.trace a.E.m)
            = Format.asprintf "%a" Trace.pp (E.M.trace b.E.m))
 
-  let prop_pool_equivalence_crash =
-    pool_equivalence_prop ~label:"crash"
-      { E.allow_crashes = true; allow_late = false }
+  let prop_restore_crash =
+    restore_prop ~label:"crash" { E.allow_crashes = true; allow_late = false }
 
-  let prop_pool_equivalence_network =
-    pool_equivalence_prop ~label:"network"
-      { E.allow_crashes = false; allow_late = true }
+  let prop_restore_network =
+    restore_prop ~label:"network" { E.allow_crashes = false; allow_late = true }
 
   (* Recycled snapshot records must not alias live ones: releasing [s2]
      hands its record to the next [save]; mutating and restoring through
@@ -292,12 +386,16 @@ struct
       QCheck_alcotest.to_alcotest prop_step_changes_digest;
       Alcotest.test_case (Name.name ^ ": vote mutation") `Quick
         test_vote_mutation;
+      Alcotest.test_case (Name.name ^ " 111: marshal partition") `Quick
+        (test_partition all_yes);
+      Alcotest.test_case (Name.name ^ " 101: marshal partition") `Quick
+        (test_partition one_no);
     ]
 
   let pool_tests =
     [
-      QCheck_alcotest.to_alcotest prop_pool_equivalence_crash;
-      QCheck_alcotest.to_alcotest prop_pool_equivalence_network;
+      QCheck_alcotest.to_alcotest prop_restore_crash;
+      QCheck_alcotest.to_alcotest prop_restore_network;
       Alcotest.test_case (Name.name ^ ": recycled records do not alias")
         `Quick test_pool_no_aliasing;
     ]
@@ -319,25 +417,6 @@ module Fp_2pc =
     (Two_pc)
     (Consensus_null)
 
-let test_backends_agree protocol () =
-  (* symmetry canonicalization only exists on the hashed backend, so the
-     hashed-vs-marshal counter identity is pinned with it off *)
-  let at fp =
-    (Mc_run.run ~fp ~symmetry:false ~jobs:1 ~protocol ~n:3 ~f:1
-       ~klass:Mc_run.Crash ())
-      .Mc_run.counters
-  in
-  let a = at Mc_limits.Fp_hashed and b = at Mc_limits.Fp_marshal in
-  check tint "states" a.Mc_limits.states b.Mc_limits.states;
-  check tint "transitions" a.Mc_limits.transitions b.Mc_limits.transitions;
-  check tint "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
-  check tint "terminals" a.Mc_limits.terminals b.Mc_limits.terminals;
-  check tint "horizon cuts" a.Mc_limits.horizon_cuts b.Mc_limits.horizon_cuts;
-  check tint "depth cuts" a.Mc_limits.depth_cuts b.Mc_limits.depth_cuts;
-  check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
-  check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips;
-  check tint "peak visited" a.Mc_limits.peak_visited b.Mc_limits.peak_visited
-
 (* ------------------------------------------------------------------ *)
 (* Frontier scheduling: the structural-progress fix, mctable
    byte-determinism across job counts, and the shared visited table's
@@ -356,8 +435,6 @@ let test_frontier_nice_regression () =
       votes = Fp_inbac.all_yes;
       klass = { Fp_inbac.E.allow_crashes = false; allow_late = false };
       budgets = Mc_limits.default_budgets ~u:Sim_time.default_u;
-      fp = Mc_limits.Fp_hashed;
-      pool = true;
       symmetry = false;
     }
   in
@@ -656,40 +733,6 @@ let test_mctable_verdicts_symmetry () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot-pool neutrality at the run and artifact level. *)
-
-(* The user-facing artifact must not change by a byte when the pool is
-   switched off. *)
-let test_mctable_bytes_pool () =
-  let render pool =
-    Table_mc.render ~protocols:[ "inbac"; "2pc" ] ~classes:[ Mc_run.Crash ]
-      ~pool ~jobs:2 ~n:3 ~f:1 ()
-  in
-  check Alcotest.string "pool on = pool off" (render true) (render false)
-
-(* Network-class counters (overtake bookkeeping, late budgets — the
-   paths with the most snapshot traffic) under a small state budget:
-   identical with the pool on and off. *)
-let test_pool_network_counters () =
-  let at pool =
-    let budgets =
-      {
-        (Mc_limits.default_budgets ~u:Sim_time.default_u) with
-        Mc_limits.max_states = 500;
-      }
-    in
-    (Mc_run.run ~budgets ~pool ~jobs:1 ~protocol:"inbac" ~n:3 ~f:1
-       ~klass:Mc_run.Network ())
-      .Mc_run.counters
-  in
-  let a = at true and b = at false in
-  check tint "states" a.Mc_limits.states b.Mc_limits.states;
-  check tint "transitions" a.Mc_limits.transitions b.Mc_limits.transitions;
-  check tint "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
-  check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
-  check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips
-
-(* ------------------------------------------------------------------ *)
 (* Golden counters of the benchmark sweep. A verdict alone does not
    guard canonicalization: a fingerprint that wrongly merges two states
    can still leave a clean space clean, only smaller. The full counter
@@ -798,9 +841,9 @@ let test_fingerprint_allocation () =
         ~klass:Mc_run.Crash ()
     in
     let calls = 1_000 in
-    probe Mc_limits.Fp_hashed 100;
+    probe 100;
     let w0 = Gc.minor_words () in
-    probe Mc_limits.Fp_hashed calls;
+    probe calls;
     (Gc.minor_words () -. w0) /. float_of_int calls
   in
   let canon = words_per_call ~symmetry:true in
@@ -817,14 +860,7 @@ let () =
   Alcotest.run "mc"
     [
       ("canonical-vs-engine", cross_validation_tests);
-      ( "fingerprint",
-        Fp_inbac.tests @ Fp_2pc.tests
-        @ [
-            quick "inbac: backends explore identically"
-              (test_backends_agree "inbac");
-            quick "2pc: backends explore identically"
-              (test_backends_agree "2pc");
-          ] );
+      ("fingerprint", Fp_inbac.tests @ Fp_2pc.tests);
       ( "witnesses",
         [
           quick "2pc blocks on coordinator crash" test_2pc_blocks_on_crash;
@@ -866,12 +902,5 @@ let () =
               test_fingerprint_allocation;
           ] );
       ("sweep-golden", sweep_golden_tests);
-      ( "snapshot-pool",
-        Fp_inbac.pool_tests @ Fp_2pc.pool_tests
-        @ [
-            quick "mctable bytes identical pool on/off"
-              test_mctable_bytes_pool;
-            quick "network-class counters identical pool on/off"
-              test_pool_network_counters;
-          ] );
+      ("snapshot-pool", Fp_inbac.pool_tests @ Fp_2pc.pool_tests);
     ]

@@ -458,8 +458,11 @@ module Probe = struct
   let guards = []
   let on_guard _env _state ~id = failwith ("probe: unknown guard " ^ id)
   let on_consensus_decide _env state _d = (state, [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state h s =
+    Fingerprint.add_int h s.heard;
+    Fingerprint.add_bool h s.decided
+
+  let hash_msg _h Ping = ()
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -618,8 +621,8 @@ module Self_probe = struct
   let guards = []
   let on_guard _env _state ~id = failwith ("self-probe: unknown guard " ^ id)
   let on_consensus_decide _env state _d = (state, [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state h s = Fingerprint.add_bool h s.proposed
+  let hash_msg _h Ping = ()
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -688,8 +691,15 @@ module Timer_probe = struct
   let guards = []
   let on_guard _env _state ~id = failwith ("timer-probe: unknown guard " ^ id)
   let on_consensus_decide _env state _d = (state, [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state h s =
+    Fingerprint.add_int h (List.length s.fired);
+    List.iter
+      (fun (id, at) ->
+        Fingerprint.add_string h id;
+        Fingerprint.add_int h at)
+      s.fired
+
+  let hash_msg _h (m : msg) = (match m with _ -> .)
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -728,8 +738,8 @@ module Bad_guard = struct
   let guards = [ ("always", fun _env () -> true) ]
   let on_guard _env () ~id:_ = ((), [])
   let on_consensus_decide _env () _d = ((), [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state _h () = ()
+  let hash_msg _h (m : msg) = (match m with _ -> .)
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -773,8 +783,8 @@ module Re_decider = struct
   let guards = []
   let on_guard _env _state ~id = failwith ("re-decider: unknown guard " ^ id)
   let on_consensus_decide _env state _d = (state, [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state h s = Fingerprint.add_int h (Vote.to_int s.vote)
+  let hash_msg _h (m : msg) = (match m with _ -> .)
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -847,8 +857,8 @@ module Canceller = struct
   let guards = []
   let on_guard _env _state ~id = failwith ("canceller: unknown guard " ^ id)
   let on_consensus_decide _env state _d = (state, [])
-  let hash_state = None
-  let hash_msg = None
+  let hash_state _h () = ()
+  let hash_msg _h (m : msg) = (match m with _ -> .)
   let symmetry ~n ~f:_ = Symmetry.trivial ~n
 end
 
@@ -1005,6 +1015,139 @@ let test_mux_service_events_untracked () =
   check tint "negative ids never tracked" 0 (Mux.pending m (-1));
   check tint "but still queued" 2 (Mux.size m)
 
+(* ------------------------------------------------------------------ *)
+(* Machine reset *)
+
+(* [Machine.reset] must return a used machine to exactly the state
+   [Machine.create] builds: the commit service runs every instance after
+   the first on a reset machine. One machine runs a first instance
+   (proposals, every delivery and timer it arms, a crash) and is reset;
+   then it and a freshly created machine run a second schedule in
+   lockstep. After every step they must agree on decisions, crash
+   instants, state digests and the epoch of every timer either instance
+   armed, and at the end on the rendered trace. *)
+module Reset_check (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
+  module M = Machine.Make (P) (C)
+
+  type event =
+    | Deliver of { src : Pid.t; dst : Pid.t; sent_at : Sim_time.t; wire : M.wire }
+    | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
+
+  let n = 3
+  let env_of self = { Proto.n; f = 1; u; self }
+
+  (* Deliveries take one U (self-sends none), deliveries before timeouts
+     at one instant, as in the engine. Every armed timer's name is
+     recorded in [timers]. *)
+  let sink timers q =
+    {
+      M.send =
+        (fun ~now ~src ~dst wire ->
+          let at = if Pid.equal src dst then now else Sim_time.( + ) now u in
+          Event_queue.add q ~time:at ~klass:0
+            (Deliver { src; dst; sent_at = now; wire });
+          at);
+      set_timer =
+        (fun ~now:_ ~pid ~layer ~id ~fire:_ ~at ~epoch ->
+          timers := (layer, id) :: !timers;
+          Event_queue.add q ~time:at ~klass:1 (Timeout { pid; layer; id; epoch }));
+    }
+
+  let describe (t, k, e) =
+    match e with
+    | Deliver { src; dst; wire; _ } ->
+        Printf.sprintf "%d/%d deliver %s->%s %s" t k (Pid.to_string src)
+          (Pid.to_string dst) (M.tag_of_wire wire)
+    | Timeout { pid; id; epoch; _ } ->
+        Printf.sprintf "%d/%d timeout %s %s@%d" t k (Pid.to_string pid) id epoch
+
+  let apply m (now, _, e) =
+    match e with
+    | Deliver { src; dst; sent_at; wire } ->
+        M.deliver m ~now ~sent_at ~src ~dst wire
+    | Timeout { pid; layer; id; epoch } ->
+        ignore (M.timeout m ~now ~pid ~layer ~id ~epoch)
+
+  (* Drive each (machine, queue) pair through one schedule in lockstep:
+     proposals at 0, then every queued event in (time, class, seq) order,
+     crashing [crash] before the [at]-th event; [after] runs after each
+     step. The pairs must pop the same events. *)
+  let drive runs ~votes ~crash ~at ~after =
+    List.iter
+      (fun (m, _) ->
+        Array.iteri
+          (fun i v -> M.propose m ~now:Sim_time.zero (Pid.of_index i) v)
+          votes)
+      runs;
+    after ();
+    let rec loop step now =
+      if step = at then begin
+        List.iter (fun (m, _) -> M.crash m ~now crash) runs;
+        after ()
+      end;
+      match List.map (fun (_, q) -> Event_queue.pop q) runs with
+      | Some ((t, _, _) as ev) :: rest when step < 2_000 ->
+          List.iter
+            (fun other ->
+              check (Alcotest.option Alcotest.string) "same next event"
+                (Some (describe ev)) (Option.map describe other))
+            rest;
+          List.iter2
+            (fun (m, _) e -> Option.iter (apply m) e)
+            runs (Some ev :: rest);
+          after ();
+          loop (step + 1) t
+      | _ -> ()
+    in
+    loop 0 Sim_time.zero
+
+  let digest hash m p =
+    let h = Fingerprint.create () in
+    hash m h p;
+    Fingerprint.digest h
+
+  let agree timers a b =
+    check tbool "decisions" true (M.decisions a = M.decisions b);
+    check tbool "crash instants" true (M.crashed_at a = M.crashed_at b);
+    List.iter
+      (fun p ->
+        check tbool "protocol state digest" true
+          (Fingerprint.equal (digest M.hash_pstate a p)
+             (digest M.hash_pstate b p));
+        check tbool "consensus state digest" true
+          (Fingerprint.equal (digest M.hash_cstate a p)
+             (digest M.hash_cstate b p));
+        List.iter
+          (fun (layer, id) ->
+            check tint "timer epoch" (M.timer_epoch b p layer id)
+              (M.timer_epoch a p layer id))
+          !timers)
+      (Pid.all ~n)
+
+  let test ~first:(votes1, crash1, at1) ~second:(votes2, crash2, at2) () =
+    let timers = ref [] in
+    let q1 = Event_queue.create () in
+    let m = M.create ~env_of ~n ~u ~sink:(sink timers q1) () in
+    drive [ (m, q1) ] ~votes:votes1 ~crash:(Pid.of_rank crash1) ~at:at1
+      ~after:ignore;
+    let used = !timers in
+    let qa = Event_queue.create () and qb = Event_queue.create () in
+    M.reset m ~sink:(sink timers qa);
+    let fresh = M.create ~env_of ~n ~u ~sink:(sink timers qb) () in
+    check tbool "the first instance armed timers" true (used <> []);
+    drive [ (m, qa); (fresh, qb) ] ~votes:votes2 ~crash:(Pid.of_rank crash2)
+      ~at:at2 ~after:(fun () -> agree timers m fresh);
+    check Alcotest.string "trace"
+      (Format.asprintf "%a" Trace.pp (M.trace fresh))
+      (Format.asprintf "%a" Trace.pp (M.trace m))
+end
+
+module Reset_inbac = Reset_check (Inbac) (Consensus_paxos)
+module Reset_2pc = Reset_check (Two_pc) (Consensus_null)
+
+let yes3 = [| Vote.yes; Vote.yes; Vote.yes |]
+let one_no3 = [| Vote.yes; Vote.no; Vote.yes |]
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -1057,6 +1200,13 @@ let () =
           quick "timer semantics" test_engine_timer_semantics;
           quick "report accessors" test_report_accessors;
           prop prop_engine_deterministic;
+        ] );
+      ( "machine-reset",
+        [
+          quick "inbac: reset = create"
+            (Reset_inbac.test ~first:(yes3, 2, 4) ~second:(one_no3, 1, 2));
+          quick "2pc: reset = create"
+            (Reset_2pc.test ~first:(yes3, 1, 1) ~second:(one_no3, 3, 5));
         ] );
       ( "event-priority",
         [

@@ -368,27 +368,6 @@ let test_soak_mode_neutral () =
     && l.Histogram.p95 <= l.Histogram.p99
     && l.Histogram.p99 <= l.Histogram.max)
 
-let test_recycle_neutral () =
-  (* machine/instance pooling is an allocation optimisation only: the
-     deterministic arm JSON must be byte-identical with recycling off *)
-  List.iter
-    (fun spec ->
-      let body recycle =
-        Commit_service.arm_json_body
-          (Commit_service.run ~protocol:"2pc" ~n:3 ~f:1
-             { spec with Commit_service.recycle })
-      in
-      check Alcotest.string "recycling is behaviour-neutral" (body true)
-        (body false))
-    [
-      { small with Commit_service.zipf_s = 0.8 };
-      {
-        small with
-        Commit_service.txns = 150;
-        outages = [ (1, 3 * u, None) ];
-      };
-    ]
-
 let qcheck_queue_deadlock_free =
   (* liveness property: random multi-key transactions over a small
      keyspace, queued admission, no outages — every run must terminate
@@ -773,7 +752,6 @@ let () =
           quick "drains with elections" test_queue_drains_with_elections;
           quick "queue accounting" test_queue_accounting;
           quick "soak mode neutral" test_soak_mode_neutral;
-          quick "recycle neutral" test_recycle_neutral;
           prop qcheck_queue_deadlock_free;
           prop qcheck_admission_differential;
         ] );
