@@ -58,23 +58,46 @@ let ticks_of_string ~err s =
 
 let ( let* ) = Result.bind
 
-(* A float flag in units of U: refused at parse time unless it converts
-   to ticks. *)
+(* A number that is neither NaN nor negative: gate thresholds (floors
+   and ceilings on measured figures) and settings such as delays and the
+   Zipf exponent. Every comparison with NaN is false, so a NaN gate
+   would let every run pass, and a NaN or negative setting would run as
+   some other value; either, like a value that is not a number, is
+   refused at parse time. [-0] reads as [0]. *)
+let non_negative s =
+  let err fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt in
+  match float_of_string_opt s with
+  | None -> err "invalid value '%s', expected a number" s
+  | Some v when Float.is_nan v -> err "%s is not a number" s
+  | Some v when v < 0. -> err "%s is negative" s
+  | Some v -> Ok (Float.abs v)
+
+let non_negative_conv = Arg.conv (non_negative, Arg.conv_printer Arg.float)
+
+(* A float flag in units of U: refused at parse time unless it is
+   non-negative and converts to ticks. *)
 let delays_conv =
   let parse s =
-    match float_of_string_opt s with
-    | None ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected a number" s))
-    | Some d -> Result.map (fun _ -> d) (ticks_of_delays d)
+    let* d = non_negative s in
+    Result.map (fun _ -> d) (ticks_of_delays d)
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
-(* A floor or ceiling some measured figure must meet: refused at parse
-   time when NaN or negative ([Gate.threshold]). *)
-let threshold_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Gate.threshold s) in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
+(* An integer flag confined to [lo..hi], refused at parse time outside
+   it: a budget that is zero, negative or overflows its tick conversion
+   would otherwise still print a verdict over a mangled space. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k < lo -> Error (`Msg (Printf.sprintf "%d is below %d" k lo))
+    | Some k when k > hi ->
+        Error (`Msg (Printf.sprintf "%d is out of range (at most %d)" k hi))
+    | Some k -> Ok k
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* Ranks start at 1; whether a rank names one of the run's n processes
    is checked once n is known ([check_system]). *)
@@ -410,7 +433,7 @@ let txserve_cmd =
   let zipf_s_arg =
     Arg.(
       value
-      & opt float Commit_service.default.Commit_service.zipf_s
+      & opt non_negative_conv Commit_service.default.Commit_service.zipf_s
       & info [ "zipf-s" ] ~docv:"S"
           ~doc:
             "Key-popularity exponent: rank i is drawn with probability \
@@ -490,7 +513,7 @@ let txserve_cmd =
   let floor_arg =
     Arg.(
       value
-      & opt (some threshold_conv) None
+      & opt (some non_negative_conv) None
       & info
           [ "min-multishot-commits-per-sec" ]
           ~docv:"X"
@@ -528,7 +551,7 @@ let txserve_cmd =
   in
   let flush_every_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_in 0) 0
       & info [ "flush-every" ] ~docv:"K"
           ~doc:
             "Progress line to stderr every K issued transactions (0 \
@@ -537,7 +560,7 @@ let txserve_cmd =
   let words_ceiling_arg =
     Arg.(
       value
-      & opt (some threshold_conv) None
+      & opt (some non_negative_conv) None
       & info
           [ "max-minor-words-per-txn" ]
           ~docv:"X"
@@ -759,22 +782,6 @@ let expect_arg =
            ])
         `None
     & info [ "expect" ] ~docv:"WHAT" ~doc)
-
-(* An integer flag confined to [lo..hi], refused at parse time outside
-   it: a budget that is zero, negative or overflows its tick conversion
-   would otherwise still print a verdict over a mangled space. *)
-let int_in ?(hi = max_int) lo =
-  let parse s =
-    match int_of_string_opt s with
-    | Some k when k < lo -> Error (`Msg (Printf.sprintf "%d is below %d" k lo))
-    | Some k when k > hi ->
-        Error (`Msg (Printf.sprintf "%d is out of range (at most %d)" k hi))
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let budgets_term ~default_states =
   let depth =

@@ -166,7 +166,7 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
   (* [E.fingerprint] dispatches on the context: with [~symmetry] and a
      non-trivial group this times the full canonicalization (all
      renamings + orbit minimum), otherwise the plain single hash — the
-     pair is the bench's canonicalization ns/call *)
+     pair is mc --stats' canonicalization ns/call *)
   fun calls ->
     for _ = 1 to calls do
       ignore (E.fingerprint ctx)

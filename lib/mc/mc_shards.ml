@@ -23,11 +23,12 @@
    of states per vote-set group) every bucket carried a 15+-node chain
    and the dedup probe degraded to a linked-list walk. Here the index
    space is sized from [capacity / 8] up to [2^21] buckets, but memory
-   is committed one segment (up to [2^12] buckets) at a time, on first
-   touch: creation allocates only the segment-pointer spine (at most 512
-   words), an exploration that stays far below its budget ceiling only
-   materialises the segments its digests actually hit, and a run that
-   does approach the ceiling gets chains of ~8 instead of hundreds.
+   is committed one segment (up to [2^8] buckets) at a time, on first
+   touch: creation allocates only the segment-pointer spine (at most
+   [2^13] slots), an exploration that stays far below its budget
+   ceiling only materialises the segments its digests actually hit, and
+   a run that does approach the ceiling gets chains of ~8 instead of
+   hundreds.
    Segments are published with a CAS on the spine slot, so a losing
    allocator simply adopts the winner's segment — the index space itself
    never moves, which is what keeps the buckets lock-free (no resize
@@ -67,9 +68,14 @@ let default_bits = 6
    segments mean the cap costs nothing until the digests arrive. *)
 let max_bucket_bits = 21
 
-(* Buckets per segment: 2^12 atomics (~32 KiB per segment) keeps the
-   first-touch allocation small while bounding the spine length. *)
-let segment_bits = 12
+(* Buckets per segment: 2^8, so a segment (256 fresh atomics in a
+   256-slot array) is a minor-heap allocation. A longer array goes
+   straight to the major heap, and filling it with young atomics forces
+   a minor collection first (the runtime promotes a young initial value
+   of a major array) plus one remembered-set entry per bucket — about
+   two forced collections per 2^12-bucket segment — and every minor
+   collection stops all domains at once. *)
+let segment_bits = 8
 
 let create ?(bits = default_bits) ~capacity () =
   if bits < 0 || bits > max_bucket_bits then
@@ -105,7 +111,7 @@ let segments_allocated t =
    publishes it, and the CAS is an SC publication point, so any domain
    that reads [Some seg] sees initialised atomics. A losing allocator
    drops its array and adopts the winner's — the transient garbage is
-   one short-lived 2^12 array per race, and races happen at most once
+   one short-lived 2^8 array per race, and races happen at most once
    per segment lifetime. *)
 let cell t idx =
   let slot = t.segments.(idx lsr t.seg_bits) in

@@ -26,7 +26,7 @@ val create : ?bits:int -> capacity:int -> unit -> 'a t
     buckets (default [2^6]), grown toward [capacity / 8] buckets (capped
     at [2^21]) so chains stay short at the caller's anticipated
     occupancy. Bucket memory is committed lazily, one segment (up to
-    [2^12] buckets, CAS-published on first touch) at a time: creation
+    [2^8] buckets, CAS-published on first touch) at a time: creation
     allocates only the segment-pointer spine, so a generous budget
     ceiling costs nothing until digests actually land in a segment —
     which is what lets the n=5 budgets size the index space honestly

@@ -8,8 +8,7 @@
     so memory stays O(bins) over a million-transaction run; its
     percentiles report the covering bin's upper edge (error bounded by
     one bin width, [max /. bins]), clamped to the exact observed maximum.
-    Either way [p50 <= p95 <= p99 <= max] holds by construction — the
-    property the bench JSON validator gates on. *)
+    Either way [p50 <= p95 <= p99 <= max] holds by construction. *)
 
 type t
 

@@ -1027,9 +1027,9 @@ let pp_stats ppf (s : stats) =
     (if s.atomicity_ok then "" else "  ATOMICITY VIOLATED")
     (if s.agreement_ok then "" else "  AGREEMENT VIOLATED")
 
-(* The deterministic slice of an arm's JSON body: everything except the
-   wall-clock and GC fields the bench appends afterwards. Shared with the
-   tests, which assert byte-identity across [Batch.run ~jobs] settings. *)
+(* The deterministic slice of a run's stats as a JSON body: everything
+   except the wall-clock and GC fields. The tests pin it per golden arm
+   and assert byte-identity across [Batch.run ~jobs] settings. *)
 let arm_json_body (s : stats) =
   let num v = if Float.is_nan v then "0.0" else Printf.sprintf "%.6f" v in
   let summary (h : Histogram.summary) =

@@ -199,9 +199,8 @@ val run :
 val pp_stats : Format.formatter -> stats -> unit
 
 val arm_json_body : stats -> string
-(** The deterministic slice of a bench arm's JSON object body (no
+(** The deterministic slice of a run's stats as a JSON object body (no
     enclosing braces, no wall-clock or GC fields): simulated-clock
     counters and delay summaries only, so two runs of the same spec
     produce the same bytes regardless of [Batch.run ~jobs] or machine
-    load. The bench appends [wall_seconds]/[commits_per_sec]/
-    [minor_words_per_txn] itself. *)
+    load. *)

@@ -89,7 +89,7 @@ type stats = {
   p99_commit_delays : float;
   minor_words_per_txn : float;
       (** minor-heap words allocated per transaction during the run — the
-          allocation-pressure gauge the bench trend line tracks *)
+          allocation-pressure gauge {!pp_stats} prints *)
   atomicity_ok : bool;  (** every round passed the atomicity check *)
 }
 

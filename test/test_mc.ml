@@ -460,28 +460,30 @@ let test_mctable_bytes_across_jobs () =
 (* Global dedup can only shrink the explored space: the shared table
    must never report MORE states than per-item mode, and must reach the
    same (clean, exhausted) verdict on the pinned config. Jobs 2 runs the
-   shared frontier over two domains; jobs 4 resolves to swarm walks. *)
+   shared frontier over two domains; jobs 4 resolves to swarm walks
+   unless swarm is forced off, which runs the frontier over four. *)
 let test_shared_visited_fewer_states () =
-  let at visited jobs =
-    Mc_run.run ~visited ~jobs ~protocol:"inbac" ~n:3 ~f:1
+  let at ?swarm visited jobs =
+    Mc_run.run ~visited ?swarm ~jobs ~protocol:"inbac" ~n:3 ~f:1
       ~klass:Mc_run.Crash ()
   in
   let per_item = at Mc_limits.Per_item 1 in
   List.iter
-    (fun jobs ->
-      let shared = at Mc_limits.Shared jobs in
+    (fun (jobs, swarm) ->
+      let shared = at ?swarm Mc_limits.Shared jobs in
+      let where =
+        Printf.sprintf "jobs %d%s" jobs
+          (if swarm = Some false then " no swarm" else "")
+      in
+      let states = shared.Mc_run.counters.Mc_limits.states in
+      check tbool ("clean at " ^ where) true (Mc_run.clean shared);
+      check tbool ("no budget hit at " ^ where) false
+        shared.Mc_run.counters.Mc_limits.budget_hit;
       check tbool
-        (Printf.sprintf "clean at jobs %d" jobs)
-        true (Mc_run.clean shared);
-      check tbool
-        (Printf.sprintf "no budget hit at jobs %d" jobs)
-        false shared.Mc_run.counters.Mc_limits.budget_hit;
-      check tbool
-        (Printf.sprintf "shared states <= per-item states at jobs %d" jobs)
+        ("0 < shared states <= per-item states at " ^ where)
         true
-        (shared.Mc_run.counters.Mc_limits.states
-        <= per_item.Mc_run.counters.Mc_limits.states))
-    [ 1; 2; 4 ]
+        (states > 0 && states <= per_item.Mc_run.counters.Mc_limits.states))
+    [ (1, None); (2, None); (4, None); (4, Some false) ]
 
 (* Per-item mode maps every frontier item to exactly one exploration
    against its own table, so which domain claims which item cannot move
@@ -612,7 +614,10 @@ let test_shards_stress () =
 
 (* n=5-sized budgets must not preallocate the shards index space: the
    spine caps at 2^21 buckets, segments materialize on first touch, and
-   keys stay findable across segment boundaries. *)
+   keys stay findable across segment boundaries. A fresh segment is a
+   minor-heap allocation: one that forced a minor collection would stop
+   every domain of a shared or swarm run. (64 first touches allocate
+   about 50k words, well inside the default 256k-word minor heap.) *)
 let test_shards_growth () =
   let huge = Mc_shards.create ~capacity:100_000_000 () in
   check tint "buckets capped at 2^21" (1 lsl 21) (Mc_shards.buckets huge);
@@ -621,13 +626,22 @@ let test_shards_growth () =
   let key i =
     { Fingerprint.d1 = i * 0x2545F4914F6CDD1D land max_int; d2 = i }
   in
-  for i = 0 to 999 do
-    ignore (Mc_shards.find_or_insert huge (key i) i)
-  done;
+  let insert lo hi =
+    for i = lo to hi do
+      ignore (Mc_shards.find_or_insert huge (key i) i)
+    done
+  in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  Gc.minor ();
+  let before = minors () in
+  insert 0 63;
+  check tint "64 first-touch inserts force no minor collection" before
+    (minors ());
+  insert 64 999;
   check tint "inserts land" 1_000 (Mc_shards.size huge);
-  check tbool "segments materialize lazily" true
+  check tbool "segments materialize lazily, at most one per insert" true
     (let segs = Mc_shards.segments_allocated huge in
-     segs >= 1 && segs <= 512);
+     segs >= 1 && segs <= 1_000);
   let missing = ref 0 in
   for i = 0 to 999 do
     if Mc_shards.find_opt huge (key i) = None then incr missing
@@ -703,6 +717,15 @@ let symmetry_differential_tests =
          ])
        [ "inbac"; "2pc"; "paxos-commit" ])
 
+(* Budgets at which the network classes exhaust in both modes, so
+   symmetry on and off compare complete explorations. *)
+let exhaustible =
+  {
+    (Mc_limits.default_budgets ~u:Sim_time.default_u) with
+    Mc_limits.horizon = Sim_time.default_u;
+    max_late = 1;
+  }
+
 (* The artifact-level neutrality: every mctable row — verdict string and
    consistency flag, violated or clean — identical between the modes, on
    exhaustible spaces (crash at the default budgets, network at
@@ -724,13 +747,47 @@ let test_mctable_verdicts_symmetry () =
   in
   compare_rows ~classes:[ Mc_run.Crash ]
     ~budgets:(Mc_limits.default_budgets ~u:Sim_time.default_u);
-  compare_rows ~classes:[ Mc_run.Network ]
-    ~budgets:
-      {
-        (Mc_limits.default_budgets ~u:Sim_time.default_u) with
-        Mc_limits.horizon = Sim_time.default_u;
-        max_late = 1;
-      }
+  compare_rows ~classes:[ Mc_run.Network ] ~budgets:exhaustible
+
+(* The reduction itself, on five INBAC f=1 spaces at --jobs 1: crash at
+   n=4 at the default budgets, and network and all at n=4 and crash and
+   network at n=5 at the exhaustible bound (horizon U, max_late 1). Both
+   runs of an arm must exhaust with the same verdict, the state counts
+   off -> on are pinned, and the best ratio must stay at least 5x (it
+   reads 13.3x, on the n=5 crash space). *)
+let test_bench_symmetry_arms () =
+  let arms =
+    [
+      ("crash n=4", 4, Mc_run.Crash, None, 124940, 13046);
+      ("network n=4", 4, Mc_run.Network, Some exhaustible, 2088, 532);
+      ("all n=4", 4, Mc_run.All, Some exhaustible, 13364, 2504);
+      ("crash n=5", 5, Mc_run.Crash, Some exhaustible, 12880, 968);
+      ("network n=5", 5, Mc_run.Network, Some exhaustible, 9440, 840);
+    ]
+  in
+  let best =
+    List.fold_left
+      (fun best (name, n, klass, budgets, off_states, on_states) ->
+        let arm symmetry =
+          Mc_run.run ?budgets ~symmetry ~jobs:1 ~naive:false
+            ~protocol:"inbac" ~n ~f:1 ~klass ()
+        in
+        let off = arm false and on = arm true in
+        let states o = o.Mc_run.counters.Mc_limits.states in
+        check tint (name ^ ": states, symmetry off") off_states (states off);
+        check tint (name ^ ": states, symmetry on") on_states (states on);
+        check tbool (name ^ ": both exhaust") true
+          (Mc_limits.exhausted off.Mc_run.counters
+          && Mc_limits.exhausted on.Mc_run.counters);
+        check Alcotest.string (name ^ ": verdict")
+          (Mc_run.verdict_string off) (Mc_run.verdict_string on);
+        Float.max best
+          (float_of_int (states off) /. float_of_int (max 1 (states on))))
+      0.0 arms
+  in
+  check tbool
+    (Printf.sprintf "best reduction %.2fx >= 5x" best)
+    true (best >= 5.0)
 
 (* ------------------------------------------------------------------ *)
 (* Golden counters of the benchmark sweep. A verdict alone does not
@@ -898,6 +955,7 @@ let () =
         @ [
             quick "mctable verdicts identical symmetry on/off"
               test_mctable_verdicts_symmetry;
+            quick "bench symmetry arms" test_bench_symmetry_arms;
             quick "fingerprint allocation per call"
               test_fingerprint_allocation;
           ] );

@@ -514,9 +514,9 @@ let qcheck_election_differential =
            on true)
 
 let test_parallel_arms_byte_identical () =
-  (* the bench runs its arms through Batch.run: the deterministic JSON
-     body of every arm must come out byte-identical whether the arms run
-     on one domain or four *)
+  (* independent service runs share nothing across domains: fanned out
+     through Batch.run, the deterministic JSON body of every arm must
+     come out byte-identical whether the arms run on one domain or four *)
   let specs =
     [
       ("inbac", small);
