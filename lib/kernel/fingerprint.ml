@@ -106,13 +106,15 @@ let reserve_counts h k =
   h.ctop <- top;
   base
 
-let rec pids_ascend perm prev = function
+(* [perm] and [prev] are annotated: an untyped [>=] here is polymorphic
+   compare, a C call per element under every renaming *)
+let rec pids_ascend (perm : int array) (prev : int) = function
   | [] -> true
   | p :: rest ->
       let r = perm.(Pid.index p) in
       r >= prev && pids_ascend perm r rest
 
-let rec keys_ascend perm prev = function
+let rec keys_ascend (perm : int array) (prev : int) = function
   | [] -> true
   | (p, _) :: rest ->
       let r = perm.(Pid.index p) in

@@ -647,7 +647,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     ctx.seen_bumps <- bumps;
     if !changed then ctx.hard_valid <- false
 
-  let pair_geq (t1, k1) (t2, k2) = t1 > t2 || (t1 = t2 && k1 >= k2)
+  let pair_geq ((t1 : int), (k1 : int)) (t2, k2) =
+    t1 > t2 || (t1 = t2 && k1 >= k2)
   let is_commit_wire mg = M.layer_of_wire mg.payload = Trace.Commit_layer
 
   let layer_code = function
