@@ -44,14 +44,6 @@ let restore t (rev_entries, count) =
   t.rev_entries <- rev_entries;
   t.count <- count
 
-let entries_since t (_, count) =
-  let rec take k acc = function
-    | rest when k = 0 -> ignore rest; acc
-    | [] -> acc
-    | e :: rest -> take (k - 1) (e :: acc) rest
-  in
-  take (t.count - count) [] t.rev_entries
-
 let time_of = function
   | Propose { at; _ }
   | Send { at; _ }

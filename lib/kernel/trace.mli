@@ -69,7 +69,5 @@ type snapshot
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Rewind the trace to the captured prefix, dropping entries added since.
-    Used by the model checker to backtrack a shared execution context. *)
+    Used by machine snapshots to backtrack a shared execution context. *)
 
-val entries_since : t -> snapshot -> entry list
-(** The entries appended after the snapshot was taken, in append order. *)

@@ -26,13 +26,11 @@
    makes counterexample replay ({!Mc_replay}) possible. *)
 
 (* Growable scratch buffers, reused across DFS nodes so candidate
-   enumeration and fingerprinting stop allocating a fresh list/array per
-   node. [vec_sort] is an insertion sort: candidate sets are tiny (tens
-   of elements), it allocates nothing, and it is stable — ties keep the
-   order of the input scan, which the enumerator relies on to reproduce
-   the historical [List.sort]-over-creation-order candidate order.
-   [vec_sort_by] passes an environment to the comparator, so one that
-   reads per-call data (a renaming) needs no closure built per call. *)
+   enumeration stops allocating a fresh list/array per node. [vec_sort]
+   is an insertion sort: candidate sets are tiny (tens of elements), it
+   allocates nothing, and it is stable — ties keep the order of the
+   input scan, which the enumerator relies on to reproduce the
+   historical [List.sort]-over-creation-order candidate order. *)
 type 'a vec = { mutable vbuf : 'a array; mutable vlen : int }
 
 let vec_make () = { vbuf = [||]; vlen = 0 }
@@ -48,26 +46,17 @@ let vec_push v x =
   v.vbuf.(v.vlen) <- x;
   v.vlen <- v.vlen + 1
 
-let rec vec_push_list v = function
-  | [] -> ()
-  | x :: rest ->
-      vec_push v x;
-      vec_push_list v rest
-
-let vec_sort_by cmp env v =
+let vec_sort cmp v =
   let a = v.vbuf in
   for i = 1 to v.vlen - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && cmp env a.(!j) x > 0 do
+    while !j >= 0 && cmp a.(!j) x > 0 do
       a.(!j + 1) <- a.(!j);
       decr j
     done;
     a.(!j + 1) <- x
   done
-
-let apply_cmp cmp a b = cmp a b
-let vec_sort cmp v = vec_sort_by apply_cmp cmp v
 
 let vec_to_list_map f v =
   let rec go i acc =
@@ -137,6 +126,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     t_pid : Pid.t;
     t_layer : Trace.layer;
     t_id : string;
+    t_idh : int;
+        (* hash of [t_id], taken once at set time so the fingerprint
+           feeds one word per timer. A hash rather than an intern id:
+           contexts that share a visited table must agree on it. *)
     t_fire : Proto.fire;
     t_set_mc : Sim_time.t;
     t_at : Sim_time.t;
@@ -199,20 +192,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   let k_inter a b = List.filter (fun k -> k_mem k b) a
 
-  (* Canonical facts of one in-flight message under the permutation being
-     tried: the rows of [fingerprint_sym]'s reused pool, overwritten for
-     every renaming. The payload is covered by its full digest under the
-     renaming — intern ids cannot serve here, because a payload and its
-     renamed image intern separately. *)
-  type fp_sym_msg = {
-    mutable fm_nom : int;
-        (* nominal slot; -1 once overtaken (slot never read again) *)
-    mutable fm_src : int;  (* renamed source index *)
-    mutable fm_dst : int;  (* renamed destination index *)
-    mutable fm_d1 : int;
-    mutable fm_d2 : int;
-  }
-
   (* ---- the execution context ------------------------------------- *)
 
   type ctx = {
@@ -229,7 +208,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            structurally equal payload was ever sent in this context, so
            ids are consistent across all paths the context explores. *)
     fp_acc : Fingerprint.t;  (* reusable hashed-fingerprint accumulator *)
-    fp_pl : Fingerprint.t;  (* payload-digest accumulator (symmetry mode) *)
+    fp_aux : Fingerprint.t;
+        (* scratch for payload and pending-element digests; each use
+           resets it *)
+    mutable fp_el : int array;
+        (* two digest lanes per pending element of the multiset being
+           fed, reused across calls *)
     sym_perms : (int array * int array) array;
         (* (sigma, sigma inverse) per candidate renaming of the vote-
            refined group, identity first; [||] when canonicalization is
@@ -248,10 +232,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            until computed: payloads are interned for the context's
            lifetime, so the digest depends only on the pair and is
            computed once *)
-    mutable sym_sigma : int array;
-        (* the renaming [fingerprint_sym] is hashing under, for the
-           timer comparator *)
-    sc_sym_msgs : fp_sym_msg vec;
     mutable clock_t : Sim_time.t;
     mutable clock_k : int;
     mutable pending_msgs : pmsg list;  (* newest first (reverse creation) *)
@@ -284,8 +264,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     sc_timers : ptimer vec;
     sc_dels : step vec;
     sc_soft : int vec;
-    sc_fp_msgs : pmsg vec;
-    sc_fp_timers : ptimer vec;
     mutable snap_pool : ctx_snap list;
     mutable snap_owner : int;
         (* Domain id owning the pooled context snapshots; mirrors the
@@ -329,7 +307,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       in
       if Symmetry.is_trivial g then None else Some g
 
-  let create_ctx cfg =
+  (* The machine records no trace unless [record_trace]: the explorer
+     reads decisions, re-decisions and crashes from the machine itself. *)
+  let create_ctx ?(record_trace = false) cfg =
     let box_msgs = ref [] and box_self = ref [] and box_timers = ref [] in
     let sends_by = Array.make cfg.n 0 in
     let creation = ref 0 in
@@ -341,6 +321,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           let id = Hashtbl.length intern in
           Hashtbl.add intern payload id;
           id
+    in
+    let id_fp = Fingerprint.create () in
+    let id_hash id =
+      Fingerprint.reset id_fp;
+      Fingerprint.add_string id_fp id;
+      Fingerprint.digest_d1 id_fp
     in
     let sink =
       {
@@ -373,6 +359,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                 t_pid = pid;
                 t_layer = layer;
                 t_id = id;
+                t_idh = id_hash id;
                 t_fire = fire;
                 t_set_mc = now;
                 t_at = at;
@@ -414,7 +401,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     {
       cfg;
-      m = M.create ~env_of ~n:cfg.n ~u:cfg.u ~sink ();
+      m =
+        M.create ~record_trace ~renamings:(Array.map fst sym_perms) ~env_of
+          ~n:cfg.n ~u:cfg.u ~sink ();
       box_msgs;
       box_self;
       box_timers;
@@ -422,15 +411,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       creation;
       intern;
       fp_acc = Fingerprint.create ();
-      fp_pl = Fingerprint.create ();
+      fp_aux = Fingerprint.create ();
+      fp_el = [||];
       sym_perms;
       sym_d1 = Array.make (max 1 (Array.length sym_perms)) 0;
       sym_d2 = Array.make (max 1 (Array.length sym_perms)) 0;
       sym_argmin = 0;
       sym_twins;
       sym_pl_cache = [||];
-      sym_sigma = [||];
-      sc_sym_msgs = vec_make ();
       clock_t = Sim_time.zero;
       clock_k = 0;
       pending_msgs = [];
@@ -450,8 +438,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       sc_timers = vec_make ();
       sc_dels = vec_make ();
       sc_soft = vec_make ();
-      sc_fp_msgs = vec_make ();
-      sc_fp_timers = vec_make ();
       snap_pool = [];
       snap_owner = (Domain.self () :> int);
     }
@@ -680,22 +666,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       ctx.clock_k <- k
     end
 
-  (* Scan what the step traced for a safety breach. *)
-  let check_safety ctx tsnap =
+  (* Check the state a step left for a safety breach. A re-decision is
+     read from the machine, which keeps the path's first: a path ends at
+     its first breach, so a re-decision seen here happened in this step. *)
+  let check_safety ctx =
     let decs = M.decisions ctx.m in
-    let restated =
-      List.find_map
-        (function
-          | Trace.Decide { pid; decision; _ } -> (
-              match decs.(Pid.index pid) with
-              | Some (_, first)
-                when not (Vote.decision_equal first decision) ->
-                  Some (pid, first, decision)
-              | _ -> None)
-          | _ -> None)
-        (Trace.entries_since (M.trace ctx.m) tsnap)
-    in
-    match restated with
+    match M.redecision ctx.m with
     | Some (pid, first, second) ->
         Some
           ( Mc_replay.Agreement,
@@ -740,19 +716,19 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             else None)
 
   let exec_step ctx step =
-    let tsnap = Trace.snapshot (M.trace ctx.m) in
     (match step with
     | S_proposals ->
+        let no = ref false in
         for i = 0 to ctx.cfg.n - 1 do
           let p = Pid.of_index i in
+          (* a crashed process proposes nothing: its vote is never cast *)
+          if (not (M.is_crashed ctx.m p)) && Vote.equal ctx.cfg.votes.(i) Vote.no
+          then no := true;
           M.propose ctx.m ~now:Sim_time.zero p ctx.cfg.votes.(i);
           drain_self ctx ~now:Sim_time.zero
         done;
         ctx.proposed <- true;
-        ctx.someone_no <-
-          List.exists
-            (fun (_, v) -> Vote.equal v Vote.no)
-            (Trace.proposals (M.trace ctx.m));
+        ctx.someone_no <- !no;
         bump_clock ctx Sim_time.zero 1
     | S_crash p ->
         M.crash ctx.m ~now:ctx.clock_t p;
@@ -777,7 +753,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         drain_self ctx ~now:t.t_at;
         bump_clock ctx t.t_at 3);
     merge_boxes ctx;
-    check_safety ctx tsnap
+    check_safety ctx
 
   (* ---- enabled transitions ---------------------------------------- *)
 
@@ -970,42 +946,85 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* ---- state fingerprints ------------------------------------------ *)
 
-  (* Canonical multiset orders for the fingerprint. The message order
-     is totalized by uid: ties on the hashed keys can only be duplicate
-     sends (same sender, instant, destination, payload), which share
-     their overtaken bit, so the digest is input-order-independent. *)
-  let fp_msg_cmp a b =
-    let c = compare (a.nominal : int) b.nominal in
-    if c <> 0 then c
-    else
-      let c = compare (Pid.index a.src) (Pid.index b.src) in
-      if c <> 0 then c
-      else
-        let c = compare (Pid.index a.dst) (Pid.index b.dst) in
-        if c <> 0 then c
-        else
-          let c = compare (a.pl_id : int) b.pl_id in
-          if c <> 0 then c
-          else compare (snd a.uid : int) (snd b.uid)
+  let decision_code = function
+    | None -> 0
+    | Some (_, Vote.Commit) -> 1
+    | Some (_, Vote.Abort) -> 2
 
-  let fp_timer_cmp a b =
-    let c = compare (a.t_at : int) b.t_at in
-    if c <> 0 then c
-    else
-      let c = compare (Pid.index a.t_pid) (Pid.index b.t_pid) in
-      if c <> 0 then c
-      else
-        let c = compare (layer_code a.t_layer) (layer_code b.t_layer) in
-        if c <> 0 then c else String.compare a.t_id b.t_id
+  let[@inline] crashed_at_index ctx i =
+    match (M.crashed_at ctx.m).(i) with None -> false | Some _ -> true
+
+  (* The pending multisets are fed as element digests: each message or
+     timer is hashed alone into [fp_aux], its two lanes are stored as
+     pair [k] of [fp_el], and [feed_els] sorts the pairs and feeds them
+     to the sequential mixer. *)
+  let store_el ctx k =
+    if (2 * k) + 2 > Array.length ctx.fp_el then begin
+      let grown = Array.make (max 32 (4 * (k + 1))) 0 in
+      Array.blit ctx.fp_el 0 grown 0 (Array.length ctx.fp_el);
+      ctx.fp_el <- grown
+    end;
+    ctx.fp_el.(2 * k) <- Fingerprint.digest_d1 ctx.fp_aux;
+    ctx.fp_el.((2 * k) + 1) <- Fingerprint.digest_d2 ctx.fp_aux
+
+  (* The count, then the [k] pairs in ascending order: an insertion sort,
+     as the multisets hold tens of elements. Pairs tie only when their
+     elements hash alike, so the fed words depend on the multiset alone,
+     whatever order the pending lists hold it in. *)
+  let feed_els h (el : int array) k =
+    for i = 1 to k - 1 do
+      let x1 = el.(2 * i) and x2 = el.((2 * i) + 1) in
+      let j = ref (i - 1) in
+      while
+        !j >= 0
+        && (el.(2 * !j) > x1 || (el.(2 * !j) = x1 && el.((2 * !j) + 1) > x2))
+      do
+        el.((2 * !j) + 2) <- el.(2 * !j);
+        el.((2 * !j) + 3) <- el.((2 * !j) + 1);
+        decr j
+      done;
+      el.((2 * !j) + 2) <- x1;
+      el.((2 * !j) + 3) <- x2
+    done;
+    Fingerprint.add_int h k;
+    for i = 0 to (2 * k) - 1 do
+      Fingerprint.add_int h el.(i)
+    done
+
+  let rec msg_els ctx k = function
+    | [] -> k
+    | mg :: rest ->
+        let e = ctx.fp_aux in
+        Fingerprint.reset e;
+        Fingerprint.add_int e mg.nominal;
+        Fingerprint.add_int e (Pid.index mg.src);
+        Fingerprint.add_int e (Pid.index mg.dst);
+        Fingerprint.add_bool e (is_overtaken ctx mg);
+        Fingerprint.add_int e mg.pl_id;
+        store_el ctx k;
+        msg_els ctx (k + 1) rest
+
+  let rec timer_els ctx k = function
+    | [] -> k
+    | t :: rest ->
+        let e = ctx.fp_aux in
+        Fingerprint.reset e;
+        Fingerprint.add_int e t.t_at;
+        Fingerprint.add_int e (Pid.index t.t_pid);
+        Fingerprint.add_int e (layer_code t.t_layer);
+        Fingerprint.add_int e t.t_idh;
+        store_el ctx k;
+        timer_els ctx (k + 1) rest
 
   (* The state fingerprint: feed the canonical facts of a checker state —
-     scheduler clock and budgets, every process's protocol/consensus
-     state (through [hash_state]), crash/decision flags, and the sorted
-     multisets of pending deliveries and timers — straight into the word
-     hasher. In-flight payloads are covered by their intern id, so a
-     message costs five words however large its payload is. [test_mc]
-     checks that these digests partition the states exactly as a
-     marshal-everything digest does. *)
+     scheduler clock and budgets, every process's digest (its protocol
+     and consensus state through [hash_state], and its handed flag, kept
+     by the machine and re-hashed only after a mutation), its crash flag
+     and decision, and the multisets of pending deliveries and timers —
+     into the word hasher. In-flight payloads are covered by their
+     intern id, so a message's digest costs five words however large its
+     payload is. [test_mc] checks that these digests partition the states
+     exactly as a marshal-everything digest does. *)
   let fingerprint_hashed ctx =
     let h = ctx.fp_acc in
     Fingerprint.reset h;
@@ -1017,45 +1036,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     Fingerprint.add_int h ctx.crashes_left;
     let decs = M.decisions ctx.m in
     for i = 0 to ctx.cfg.n - 1 do
-      let p = Pid.of_index i in
-      M.hash_pstate ctx.m h p;
-      M.hash_cstate ctx.m h p;
-      Fingerprint.add_bool h (M.is_crashed ctx.m p);
-      Fingerprint.add_int h
-        (match decs.(i) with
-        | None -> 0
-        | Some (_, Vote.Commit) -> 1
-        | Some (_, Vote.Abort) -> 2);
-      Fingerprint.add_bool h (M.cons_handed ctx.m p)
+      M.feed_proc ctx.m h ~renaming:0 i;
+      Fingerprint.add_bool h (crashed_at_index ctx i);
+      Fingerprint.add_int h (decision_code decs.(i))
     done;
-    (* Canonical multiset order via in-place sorts over reused scratch
-       buffers with monomorphic comparators: no tuple lists, no
-       polymorphic compare, no per-node array allocation. *)
-    let msgs = ctx.sc_fp_msgs in
-    vec_clear msgs;
-    vec_push_list msgs ctx.pending_msgs;
-    vec_sort fp_msg_cmp msgs;
-    Fingerprint.add_int h msgs.vlen;
-    for i = 0 to msgs.vlen - 1 do
-      let mg = msgs.vbuf.(i) in
-      Fingerprint.add_int h mg.nominal;
-      Fingerprint.add_int h (Pid.index mg.src);
-      Fingerprint.add_int h (Pid.index mg.dst);
-      Fingerprint.add_bool h (is_overtaken ctx mg);
-      Fingerprint.add_int h mg.pl_id
-    done;
-    let timers = ctx.sc_fp_timers in
-    vec_clear timers;
-    vec_push_list timers ctx.pending_timers;
-    vec_sort fp_timer_cmp timers;
-    Fingerprint.add_int h timers.vlen;
-    for i = 0 to timers.vlen - 1 do
-      let t = timers.vbuf.(i) in
-      Fingerprint.add_int h t.t_at;
-      Fingerprint.add_int h (Pid.index t.t_pid);
-      Fingerprint.add_int h (layer_code t.t_layer);
-      Fingerprint.add_string h t.t_id
-    done;
+    feed_els h ctx.fp_el (msg_els ctx 0 ctx.pending_msgs);
+    feed_els h ctx.fp_el (timer_els ctx 0 ctx.pending_timers);
     Fingerprint.digest h
 
   (* ---- symmetry canonicalization ---------------------------------- *)
@@ -1069,7 +1055,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let cache = ctx.sym_pl_cache in
     if key < Array.length cache && cache.(key) != no_digest then cache.(key)
     else begin
-      let hp = ctx.fp_pl in
+      let hp = ctx.fp_aux in
       Fingerprint.reset hp;
       Fingerprint.set_perm hp sigma;
       M.hash_wire hp payload;
@@ -1085,65 +1071,39 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       d
     end
 
-  (* Both canonical sorts order rows by exactly the tuple that gets fed:
-     rows tying on every fed field are interchangeable contributions, so
-     the digest is input-order-independent whatever the tie order. *)
-  let fp_sym_msg_cmp a b =
-    let c = compare (a.fm_nom : int) b.fm_nom in
-    if c <> 0 then c
-    else
-      let c = compare (a.fm_src : int) b.fm_src in
-      if c <> 0 then c
-      else
-        let c = compare (a.fm_dst : int) b.fm_dst in
-        if c <> 0 then c
-        else
-          let c = compare (a.fm_d1 : int) b.fm_d1 in
-          if c <> 0 then c else compare (a.fm_d2 : int) b.fm_d2
+  (* An in-flight message under renaming [sigma]: its nominal slot (-1
+     once overtaken: the slot is never read again), renamed endpoints
+     and the payload's digest under the renaming — intern ids cannot
+     serve here, because a payload and its renamed image intern
+     separately. *)
+  let rec sym_msg_els ctx pi sigma k = function
+    | [] -> k
+    | mg :: rest ->
+        let d = payload_digest ctx pi sigma mg.payload mg.pl_id in
+        let e = ctx.fp_aux in
+        Fingerprint.reset e;
+        Fingerprint.add_int e (if is_overtaken ctx mg then -1 else mg.nominal);
+        Fingerprint.add_int e sigma.(Pid.index mg.src);
+        Fingerprint.add_int e sigma.(Pid.index mg.dst);
+        Fingerprint.add_int e d.Fingerprint.d1;
+        Fingerprint.add_int e d.Fingerprint.d2;
+        store_el ctx k;
+        sym_msg_els ctx pi sigma (k + 1) rest
 
   (* Timers armed beyond the horizon never fire: their exact instant is
      unobservable, so it is clamped to [horizon + 1] (collapsing the
      consensus retry-cascade tails that differ only in dead deadlines). *)
-  let sym_timer_at ~h t = if t.t_at > h then h + 1 else t.t_at
-
-  let sym_timer_cmp ctx a b =
-    let h = ctx.cfg.budgets.Mc_limits.horizon and sigma = ctx.sym_sigma in
-    let c = compare (sym_timer_at ~h a : int) (sym_timer_at ~h b) in
-    if c <> 0 then c
-    else
-      let c =
-        compare (sigma.(Pid.index a.t_pid) : int) sigma.(Pid.index b.t_pid)
-      in
-      if c <> 0 then c
-      else
-        let c = compare (layer_code a.t_layer) (layer_code b.t_layer) in
-        if c <> 0 then c else String.compare a.t_id b.t_id
-
-  (* Row [i] of the reused message-row pool, growing the pool with
-     fresh records: [vec_push]'s [Array.make] fill would put one shared
-     record in every new slot, and overwriting it would alias every row. *)
-  let sym_row rows i =
-    if i = Array.length rows.vbuf then
-      rows.vbuf <-
-        Array.init
-          (max 16 (2 * i))
-          (fun k ->
-            if k < i then rows.vbuf.(k)
-            else { fm_nom = 0; fm_src = 0; fm_dst = 0; fm_d1 = 0; fm_d2 = 0 });
-    rows.vbuf.(i)
-
-  let rec fill_sym_rows ctx pi sigma rows = function
-    | [] -> ()
-    | mg :: rest ->
-        let r = sym_row rows rows.vlen in
-        let d = payload_digest ctx pi sigma mg.payload mg.pl_id in
-        r.fm_nom <- (if is_overtaken ctx mg then -1 else mg.nominal);
-        r.fm_src <- sigma.(Pid.index mg.src);
-        r.fm_dst <- sigma.(Pid.index mg.dst);
-        r.fm_d1 <- d.Fingerprint.d1;
-        r.fm_d2 <- d.Fingerprint.d2;
-        rows.vlen <- rows.vlen + 1;
-        fill_sym_rows ctx pi sigma rows rest
+  let rec sym_timer_els ctx ~horizon sigma k = function
+    | [] -> k
+    | t :: rest ->
+        let e = ctx.fp_aux in
+        Fingerprint.reset e;
+        Fingerprint.add_int e (if t.t_at > horizon then horizon + 1 else t.t_at);
+        Fingerprint.add_int e sigma.(Pid.index t.t_pid);
+        Fingerprint.add_int e (layer_code t.t_layer);
+        Fingerprint.add_int e t.t_idh;
+        store_el ctx k;
+        sym_timer_els ctx ~horizon sigma (k + 1) rest
 
   (* lexicographic order of the per-permutation digests [pi] and [pj] *)
   let digest_lt ctx pi pj =
@@ -1156,12 +1116,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      invariant making the minimum an orbit invariant is faithfulness —
      [H_sigma(s) = H_id(sigma . s)] — which holds because canonical slot
      [j] is fed with concrete process [inv.(j)] (the process that would
-     occupy rank [j] in the renamed state), every pid-valued datum routes
-     through the installed renaming, and the message/timer multisets are
-     re-sorted by their renamed keys.
+     occupy rank [j] in the renamed state) through its digest under
+     [sigma], every pid-valued datum of a message or timer is renamed,
+     and the message/timer multisets are fed in an order that depends on
+     their renamed elements alone.
 
      On top of the renaming, three abstractions sound for forward
-     equivalence (symmetry mode only; the off path stays byte-stable):
+     equivalence (symmetry mode only):
      a crashed process's internal state is skipped (nothing can read it
      again — deliveries to it are filtered, its timers are stale, it
      never executes; its decision and crash flag stay fed), an overtaken
@@ -1174,15 +1135,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let horizon = ctx.cfg.budgets.Mc_limits.horizon in
     let np = Array.length ctx.sym_perms in
     let best = ref 0 in
-    (* ties under every renaming's timer order feed identical words, so
-       one fill serves all the per-renaming sorts *)
-    let timers = ctx.sc_fp_timers in
-    vec_clear timers;
-    vec_push_list timers ctx.pending_timers;
     for pi = 0 to np - 1 do
       let sigma, inv = ctx.sym_perms.(pi) in
       Fingerprint.reset h;
-      Fingerprint.set_perm h sigma;
       Fingerprint.add_int h ctx.clock_t;
       Fingerprint.add_int h ctx.clock_k;
       Fingerprint.add_bool h ctx.proposed;
@@ -1191,48 +1146,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       Fingerprint.add_int h ctx.crashes_left;
       for j = 0 to ctx.cfg.n - 1 do
         let i = inv.(j) in
-        let p = Pid.of_index i in
-        let crashed = M.is_crashed ctx.m p in
+        let crashed = crashed_at_index ctx i in
         Fingerprint.add_bool h crashed;
-        if not crashed then begin
-          M.hash_pstate ctx.m h p;
-          M.hash_cstate ctx.m h p;
-          Fingerprint.add_bool h (M.cons_handed ctx.m p)
-        end;
-        Fingerprint.add_int h
-          (match decs.(i) with
-          | None -> 0
-          | Some (_, Vote.Commit) -> 1
-          | Some (_, Vote.Abort) -> 2)
+        if not crashed then M.feed_proc ctx.m h ~renaming:pi i;
+        Fingerprint.add_int h (decision_code decs.(i))
       done;
-      let msgs = ctx.sc_sym_msgs in
-      vec_clear msgs;
-      fill_sym_rows ctx pi sigma msgs ctx.pending_msgs;
-      vec_sort fp_sym_msg_cmp msgs;
-      Fingerprint.add_int h msgs.vlen;
-      for i = 0 to msgs.vlen - 1 do
-        let fm = msgs.vbuf.(i) in
-        Fingerprint.add_int h fm.fm_nom;
-        Fingerprint.add_int h fm.fm_src;
-        Fingerprint.add_int h fm.fm_dst;
-        Fingerprint.add_int h fm.fm_d1;
-        Fingerprint.add_int h fm.fm_d2
-      done;
-      ctx.sym_sigma <- sigma;
-      vec_sort_by sym_timer_cmp ctx timers;
-      Fingerprint.add_int h timers.vlen;
-      for i = 0 to timers.vlen - 1 do
-        let t = timers.vbuf.(i) in
-        Fingerprint.add_int h (sym_timer_at ~h:horizon t);
-        Fingerprint.add_int h sigma.(Pid.index t.t_pid);
-        Fingerprint.add_int h (layer_code t.t_layer);
-        Fingerprint.add_string h t.t_id
-      done;
+      feed_els h ctx.fp_el (sym_msg_els ctx pi sigma 0 ctx.pending_msgs);
+      feed_els h ctx.fp_el
+        (sym_timer_els ctx ~horizon sigma 0 ctx.pending_timers);
       ctx.sym_d1.(pi) <- Fingerprint.digest_d1 h;
       ctx.sym_d2.(pi) <- Fingerprint.digest_d2 h;
       if pi > 0 && digest_lt ctx pi !best then best := pi
     done;
-    Fingerprint.clear_perm h;
     ctx.sym_argmin <- !best;
     { Fingerprint.d1 = ctx.sym_d1.(!best); d2 = ctx.sym_d2.(!best) }
 
@@ -2183,7 +2108,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         symmetry = false;
       }
     in
-    let ctx = create_ctx cfg in
+    (* the message counts are read from the trace *)
+    let ctx = create_ctx ~record_trace:true cfg in
     let trail = ref [] in
     ignore (exec_step ctx S_proposals);
     ignore (complete ctx trail);

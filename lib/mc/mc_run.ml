@@ -128,9 +128,10 @@ let canonical ?(consensus = Registry.Paxos) ~protocol ~n ~f ?u () =
 (* A fingerprint sampler: advance a context [prefix_steps] transitions
    along the engine-canonical order so it holds a representative
    mid-exploration state (live automata, in-flight messages, armed
-   timers), then return a closure that recomputes its fingerprint.
-   Benchmarks time the closure; context preparation stays outside the
-   measured region. *)
+   timers), then return a closure that recomputes its fingerprint as a
+   DFS node does after that last step: the processes the step touched
+   lose their cached digests first. Benchmarks time the closure; context
+   preparation stays outside the measured region. *)
 let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
     ?(prefix_steps = 6) ?(symmetry = false) ?votes ~protocol ~n ~f ~klass
     () =
@@ -156,19 +157,35 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
   in
   let ctx = E.create_ctx cfg in
   ignore (E.exec_step ctx E.S_proposals);
+  let touched = ref (Pid.all ~n) in
   (try
      for _ = 1 to prefix_steps do
        match E.enumerate ctx with
        | [] -> raise Exit
-       | cand :: _ -> ignore (E.exec_step ctx cand)
+       | cand :: _ ->
+           ignore (E.exec_step ctx cand);
+           touched :=
+             match cand with
+             | E.S_proposals -> Pid.all ~n
+             | E.S_crash p -> [ p ]
+             | E.S_deliver { msg; _ } -> [ msg.E.dst ]
+             | E.S_timeout t -> [ t.E.t_pid ]
      done
    with Exit -> ());
+  let touched = !touched in
+  let rec forget = function
+    | [] -> ()
+    | p :: rest ->
+        E.M.forget_digest ctx.E.m p;
+        forget rest
+  in
   (* [E.fingerprint] dispatches on the context: with [~symmetry] and a
      non-trivial group this times the full canonicalization (all
      renamings + orbit minimum), otherwise the plain single hash — the
      pair is mc --stats' canonicalization ns/call *)
   fun calls ->
     for _ = 1 to calls do
+      forget touched;
       ignore (E.fingerprint ctx)
     done
 

@@ -115,7 +115,13 @@ val fingerprint_sampler :
     [probe]: [probe calls] recomputes the context's state fingerprint
     [calls] times. For isolating the per-call fingerprint cost from the rest
     of the exploration loop (context preparation happens before [probe] is
-    returned, so callers time only the fingerprint work). With
+    returned, so callers time only the fingerprint work). Before each call
+    the probe drops the cached digests of the processes the prefix's last
+    step touched (one process, unless that step was the proposals), so a
+    call costs what a DFS node pays: that process re-hashed under every
+    renaming, the other processes' cached digests and the digests of the
+    pending messages and timers. Without that, it would time a state
+    whose every digest is cached. With
     [~symmetry:true] the probe times the full canonicalization — every group
     renaming plus the orbit minimum — so the delta against the default
     sampler is the per-call cost of symmetry reduction. [votes] (default:

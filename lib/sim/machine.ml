@@ -33,6 +33,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     s_cons_decided : bool array;
     s_send_budget : (Sim_time.t * int) option array;
     s_timer_epochs : (Trace.layer * string * int) list array;
+    s_pd_valid : bool array;
+    s_pd : int array;
+    mutable s_redecision : (Pid.t * Vote.decision * Vote.decision) option;
   }
 
   type t = {
@@ -83,10 +86,26 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (* monotone-per-path mutation counters (rewound by [restore]):
            the model checker compares them across steps to skip
            re-filtering its pending lists on quiet steps *)
+    renamings : int array array;
+        (* the renamings [feed_proc] keeps digests under; [||] for one
+           digest per process, hashed under no renaming *)
+    cols : int;  (* digests per process: [max 1 |renamings|] *)
+    pd_fp : Fingerprint.t;
+    pd_valid : bool array;
+        (* per pid: [pd] holds its digests for its current state.
+           Cleared by [touch]; captured and restored with the state, so a
+           valid digest in a snapshot record was computed for the state
+           that record holds. *)
+    pd : int array;
+        (* two lanes per (pid, renaming), at [2 * (i * cols + r)] *)
+    mutable redecision : (Pid.t * Vote.decision * Vote.decision) option;
+        (* the first conflicting re-decision on the current path *)
   }
 
-  let create ?(record_trace = true) ~env_of ~n ~u ~sink () =
+  let create ?(record_trace = true) ?(renamings = [||]) ~env_of ~n ~u ~sink
+      () =
     let envs = Array.init n (fun i -> env_of (Pid.of_index i)) in
+    let cols = max 1 (Array.length renamings) in
     {
       envs;
       u;
@@ -107,12 +126,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       last_mut = Array.make n 0;
       crash_count = 0;
       epoch_bumps = 0;
+      renamings;
+      cols;
+      pd_fp = Fingerprint.create ();
+      pd_valid = Array.make n false;
+      pd = Array.make (2 * n * cols) 0;
+      redecision = None;
     }
 
   (* Every write to a per-pid slot must mark the pid as mutated at the
      current stamp, or pooled snapshots would treat the slot as still
-     agreeing with their captured copy. *)
-  let touch t i = t.last_mut.(i) <- t.stamp
+     agreeing with their captured copy, and must drop the pid's digests,
+     or [feed_proc] would feed those of its old state. *)
+  let touch t i =
+    t.last_mut.(i) <- t.stamp;
+    t.pd_valid.(i) <- false
 
   let empty_trace = Trace.snapshot (Trace.create ())
 
@@ -128,12 +156,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       t.cons_decided.(i) <- false;
       t.send_budget.(i) <- None;
       t.timer_epochs.(i) <- [];
-      t.last_mut.(i) <- 0
+      t.last_mut.(i) <- 0;
+      t.pd_valid.(i) <- false
     done;
     t.pool <- [];
     t.stamp <- 1;
     t.crash_count <- 0;
-    t.epoch_bumps <- 0
+    t.epoch_bumps <- 0;
+    t.redecision <- None
 
   let trace t = t.trace
   let pstate t p = t.pstates.(Pid.index p)
@@ -176,8 +206,32 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         Hashtbl.add t.tags payload s;
         s
 
-  let hash_pstate t h p = P.hash_state h t.pstates.(Pid.index p)
-  let hash_cstate t h p = C.hash_state h t.cstates.(Pid.index p)
+  let redecision t = t.redecision
+
+  (* Re-hash process [i] under every renaming: what a state fingerprint
+     covers of one process apart from its crash flag and decision. *)
+  let refresh_digests t i =
+    let h = t.pd_fp in
+    for r = 0 to t.cols - 1 do
+      Fingerprint.reset h;
+      if Array.length t.renamings > 0 then
+        Fingerprint.set_perm h t.renamings.(r);
+      P.hash_state h t.pstates.(i);
+      C.hash_state h t.cstates.(i);
+      Fingerprint.add_bool h t.cons_decided.(i);
+      let k = 2 * ((i * t.cols) + r) in
+      t.pd.(k) <- Fingerprint.digest_d1 h;
+      t.pd.(k + 1) <- Fingerprint.digest_d2 h
+    done;
+    t.pd_valid.(i) <- true
+
+  let feed_proc t h ~renaming i =
+    if not t.pd_valid.(i) then refresh_digests t i;
+    let k = 2 * ((i * t.cols) + renaming) in
+    Fingerprint.add_int h t.pd.(k);
+    Fingerprint.add_int h t.pd.(k + 1)
+
+  let forget_digest t p = t.pd_valid.(Pid.index p) <- false
 
   let hash_wire h = function
     | Commit_msg m ->
@@ -277,9 +331,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (* A re-decision with the same value is not an event: tracing it
            would duplicate the entry every decision consumer reads. A
            conflicting one is traced so the spec checkers can flag the
-           stability breach instead of never seeing it. *)
-        if t.trace_on && not (Vote.decision_equal first decision) then
-          Trace.add t.trace (Trace.Decide { at = now; pid; decision })
+           stability breach instead of never seeing it, and the first
+           one is kept for drivers that record no trace. *)
+        if not (Vote.decision_equal first decision) then begin
+          (match t.redecision with
+          | None -> t.redecision <- Some (pid, first, decision)
+          | Some _ -> ());
+          if t.trace_on then
+            Trace.add t.trace (Trace.Decide { at = now; pid; decision })
+        end
 
   (* The suffix of [guards] headed by the first enabled guard ([] when
      none is): a plain recursion, so evaluating guards allocates
@@ -473,6 +533,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   let budget_value (at, remaining) = (at, !remaining)
 
+  let copy_digests ~(src : int array) ~(dst : int array) cols i =
+    for k = 2 * i * cols to (2 * (i + 1) * cols) - 1 do
+      dst.(k) <- src.(k)
+    done
+
   let fresh_snapshot t =
     let s =
       {
@@ -488,6 +553,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         s_cons_decided = Array.copy t.cons_decided;
         s_send_budget = Array.map (Option.map budget_value) t.send_budget;
         s_timer_epochs = Array.copy t.timer_epochs;
+        s_pd_valid = Array.copy t.pd_valid;
+        s_pd = Array.copy t.pd;
+        s_redecision = t.redecision;
       }
     in
     t.stamp <- t.stamp + 1;
@@ -503,6 +571,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     s.s_trace <- Trace.snapshot t.trace;
     s.s_crash_count <- t.crash_count;
     s.s_epoch_bumps <- t.epoch_bumps;
+    s.s_redecision <- t.redecision;
     let stamp = s.s_stamp in
     for i = 0 to Array.length t.pstates - 1 do
       if t.last_mut.(i) > stamp then begin
@@ -512,7 +581,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         s.s_decisions.(i) <- t.decisions.(i);
         s.s_cons_decided.(i) <- t.cons_decided.(i);
         s.s_send_budget.(i) <- Option.map budget_value t.send_budget.(i);
-        s.s_timer_epochs.(i) <- t.timer_epochs.(i)
+        s.s_timer_epochs.(i) <- t.timer_epochs.(i);
+        copy_digests ~src:t.pd ~dst:s.s_pd t.cols i;
+        s.s_pd_valid.(i) <- t.pd_valid.(i)
       end
     done;
     s.s_stamp <- t.stamp;
@@ -552,6 +623,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     Trace.restore t.trace s.s_trace;
     t.crash_count <- s.s_crash_count;
     t.epoch_bumps <- s.s_epoch_bumps;
+    t.redecision <- s.s_redecision;
     let stamp = s.s_stamp in
     for i = 0 to Array.length t.pstates - 1 do
       if t.last_mut.(i) > stamp then begin
@@ -564,6 +636,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           Option.map (fun (at, remaining) -> (at, ref remaining))
             s.s_send_budget.(i);
         t.timer_epochs.(i) <- s.s_timer_epochs.(i);
+        copy_digests ~src:s.s_pd ~dst:t.pd t.cols i;
+        t.pd_valid.(i) <- s.s_pd_valid.(i);
         t.last_mut.(i) <- t.stamp
       end
     done

@@ -47,6 +47,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
 
   val create :
     ?record_trace:bool ->
+    ?renamings:int array array ->
     env_of:(Pid.t -> Proto.env) -> n:int -> u:Sim_time.t -> sink:sink ->
     unit -> t
   (** [env_of] is called once per pid, here: the machine keeps the envs
@@ -59,7 +60,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
       automata, so turning it off changes no observable behaviour — it
       skips the per-event entry allocation and the message-tag rendering,
       which is what a driver that never reads traces (the multi-shot
-      commit service) wants on its hot path. *)
+      commit service, the model checker) wants on its hot path.
+
+      [?renamings] (default none) are the process renamings, given as
+      index arrays, under which {!feed_proc} keeps each process's digest;
+      with none it keeps one digest per process, hashed under no
+      renaming. *)
 
   val reset : t -> sink:sink -> unit
   (** Reinitialize the machine for a fresh run under a new [sink]:
@@ -92,10 +98,23 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
       step to skip re-filtering its pending event lists when nothing
       could have gone stale. *)
 
-  val hash_pstate : t -> Fingerprint.t -> Pid.t -> unit
-  val hash_cstate : t -> Fingerprint.t -> Pid.t -> unit
-  (** Feed the process's protocol / consensus state into the accumulator
-      via the module's {!Proto.PROTOCOL.hash_state} canonicalizer. *)
+  val redecision : t -> (Pid.t * Vote.decision * Vote.decision) option
+  (** The first conflicting re-decision on the current execution path: the
+      process, its first decision and the one that contradicts it. Kept
+      whether or not a trace is recorded, and rewound by {!restore}. *)
+
+  val feed_proc : t -> Fingerprint.t -> renaming:int -> int -> unit
+  (** [feed_proc t h ~renaming i] feeds [h] two words: the digest of
+      process [i]'s protocol state, consensus state and handed flag
+      ({!cons_handed}), hashed through the modules' [hash_state] under the
+      [renaming]-th renaming given to {!create} ([0] when none was).
+      A process is re-hashed, under every renaming at once, only when it
+      was mutated since its digests were last computed; the digests
+      travel with the state through {!snapshot} and {!restore}. *)
+
+  val forget_digest : t -> Pid.t -> unit
+  (** Drop the process's digests as a mutation would, so the next
+      {!feed_proc} re-hashes it (to time or test that path). *)
 
   val hash_wire : Fingerprint.t -> wire -> unit
   (** Feed a message payload (layer tag first) through the per-module

@@ -137,17 +137,20 @@ module Fp_suite
 struct
   module E = Mc_explore.Make (P) (C)
 
-  let cfg ?(klass = { E.allow_crashes = true; allow_late = false }) votes =
+  (* Symmetry stays off unless asked for: most of the suite exercises
+     [fingerprint_hashed] directly, so the canonicalization layer stays
+     out of the way. *)
+  let cfg ?(symmetry = false)
+      ?(klass = { E.allow_crashes = true; allow_late = false }) ?(f = 1) votes
+      =
     {
-      E.n = 3;
-      f = 1;
+      E.n = Array.length votes;
+      f;
       u = Sim_time.default_u;
       votes;
       klass;
       budgets = Mc_limits.default_budgets ~u:Sim_time.default_u;
-      (* the suite exercises [fingerprint_hashed] directly, so the
-         canonicalization layer stays out of the way *)
-      symmetry = false;
+      symmetry;
     }
 
   let all_yes = [| Vote.yes; Vote.yes; Vote.yes |]
@@ -261,9 +264,11 @@ struct
      digests — no two distinct states merged — and a marshal digest
      never splits over two hashed digests — no equal states told apart.
      Together they make a hashed-keyed exploration count exactly what a
-     marshal-keyed one counts. *)
-  let test_partition votes () =
-    let ctx = E.create_ctx (cfg votes) in
+     marshal-keyed one counts. [?cap] stops the DFS after that many
+     nodes, for spaces too large to exhaust here. *)
+  let test_partition ?klass ?f ?(cap = max_int) votes () =
+    let ctx = E.create_ctx (cfg ?klass ?f votes) in
+    let nodes = ref 0 in
     let to_marshal = Hashtbl.create 1024 and to_hashed = Hashtbl.create 1024 in
     let conflicts = ref 0 in
     let record tbl k v =
@@ -276,6 +281,8 @@ struct
           false
     in
     let rec visit () =
+      incr nodes;
+      if !nodes > cap then raise Exit;
       let h = E.fingerprint_hashed ctx and md = marshal_digest ctx in
       ignore (record to_hashed md h);
       if not (record to_marshal h md) then begin
@@ -291,7 +298,7 @@ struct
         E.release ctx snap
       end
     in
-    visit ();
+    (try visit () with Exit -> ());
     let classes = Hashtbl.length to_marshal in
     check tbool (Printf.sprintf "%d classes reached" classes) true
       (classes > 1);
@@ -306,15 +313,16 @@ struct
      digest at every step: the hashed digest covers payloads by intern
      ids, which the detours' sends may have assigned, so it is compared
      only within the detouring context, before and after each detour. At
-     the end the rendered traces must match. *)
+     the end the rendered traces must match, so both contexts record
+     one (the explorer's do not). *)
   let restore_prop ~label klass =
     QCheck.Test.make ~count:25
       ~name:(Name.name ^ ": " ^ label ^ " detours exact")
       QCheck.(
         list_of_size Gen.(int_range 1 20) (pair (int_range 0 1000) bool))
       (fun choices ->
-        let a = E.create_ctx (cfg ~klass all_yes) in
-        let b = E.create_ctx (cfg ~klass all_yes) in
+        let a = E.create_ctx ~record_trace:true (cfg ~klass all_yes) in
+        let b = E.create_ctx ~record_trace:true (cfg ~klass all_yes) in
         ignore (E.exec_step a E.S_proposals);
         ignore (E.exec_step b E.S_proposals);
         List.for_all
@@ -347,6 +355,64 @@ struct
 
   let prop_restore_network =
     restore_prop ~label:"network" { E.allow_crashes = false; allow_late = true }
+
+  (* The per-process digest cache: at every node of a random walk, the
+     fingerprint fed from the machine's cached digests must equal the
+     one computed after dropping every process's digests. The walk takes
+     save / sibling step / restore / release detours, so restores rewind
+     digests and later saves recapture released records. *)
+  let cache_prop ~label ~n ~symmetry klass =
+    QCheck.Test.make ~count:25
+      ~name:
+        (Printf.sprintf "%s: digest cache, %s, n=%d, symmetry %s" Name.name
+           label n
+           (if symmetry then "on" else "off"))
+      QCheck.(
+        list_of_size Gen.(int_range 1 25) (pair (int_range 0 1000) bool))
+      (fun choices ->
+        let ctx =
+          E.create_ctx (cfg ~symmetry ~klass (Array.make n Vote.yes))
+        in
+        let agrees () =
+          let cached = E.fingerprint ctx in
+          List.iter (E.M.forget_digest ctx.E.m) (Pid.all ~n);
+          Fingerprint.equal cached (E.fingerprint ctx)
+        in
+        ignore (E.exec_step ctx E.S_proposals);
+        List.for_all
+          (fun (c, detour) ->
+            agrees ()
+            &&
+            match E.enumerate ctx with
+            | [] -> true
+            | cands ->
+                let la = List.length cands in
+                let i = c mod la in
+                let detour_agrees =
+                  (not detour) || la < 2
+                  ||
+                  let s = E.save ctx in
+                  ignore (E.exec_step ctx (List.nth cands ((i + 1) mod la)));
+                  let ok = agrees () in
+                  E.restore ctx s;
+                  E.release ctx s;
+                  ok
+                in
+                ignore (E.exec_step ctx (List.nth cands i));
+                detour_agrees)
+          choices
+        && agrees ())
+
+  let cache_props =
+    let crash = { E.allow_crashes = true; allow_late = false }
+    and network = { E.allow_crashes = false; allow_late = true } in
+    List.concat_map
+      (fun (label, klass) ->
+        [
+          cache_prop ~label ~n:3 ~symmetry:false klass;
+          cache_prop ~label ~n:4 ~symmetry:true klass;
+        ])
+      [ ("crash", crash); ("network", network) ]
 
   (* Recycled snapshot records must not alias live ones: releasing [s2]
      hands its record to the next [save]; mutating and restoring through
@@ -399,6 +465,7 @@ struct
       Alcotest.test_case (Name.name ^ ": recycled records do not alias")
         `Quick test_pool_no_aliasing;
     ]
+    @ List.map QCheck_alcotest.to_alcotest cache_props
 end
 
 module Fp_inbac =
@@ -416,6 +483,83 @@ module Fp_2pc =
     end)
     (Two_pc)
     (Consensus_null)
+
+(* Two INBAC spaces that reach states differing in one hashed field the
+   n=3 crash spaces above never tell apart. With crashes and late
+   deliveries at n=3, a process can end up waiting for help or not in
+   otherwise equal states ([wait]); at n=4 f=2 a process acknowledged by
+   two backups holds their [C]s in either arrival order ([collection1]).
+   Neither space is exhausted here: the DFS stops after a fixed number
+   of nodes, well past the first such pair (about 20k and 30k nodes). *)
+let test_inbac_all_class_partition =
+  Fp_inbac.test_partition
+    ~klass:{ Fp_inbac.E.allow_crashes = true; allow_late = true }
+    ~cap:50_000 Fp_inbac.all_yes
+
+let test_inbac_f2_partition =
+  Fp_inbac.test_partition ~f:2 ~cap:60_000 (Array.make 4 Vote.yes)
+
+(* ------------------------------------------------------------------ *)
+(* Decision stability without a trace: the explorer's machine records
+   none, so a re-decision must reach [check_safety] through the machine.
+   [Re_decider] (test/re_decider.ml) aborts on a no vote, then commits
+   when its timer fires. *)
+
+module Re_decider_mc = Mc_explore.Make (Re_decider) (Consensus_null)
+
+let test_checker_flags_redecision () =
+  let module E = Re_decider_mc in
+  let n = 3 and u = Sim_time.default_u in
+  let cfg =
+    {
+      E.n;
+      f = 1;
+      u;
+      votes = Array.make n Vote.no;
+      klass = { E.allow_crashes = false; allow_late = false };
+      budgets = Mc_limits.default_budgets ~u;
+      symmetry = false;
+    }
+  in
+  let is_ac2 detail =
+    String.starts_with ~prefix:"decision stability (AC2)" detail
+  in
+  let ctx = E.create_ctx cfg in
+  check tbool "every process aborts first: no breach" true
+    (E.exec_step ctx E.S_proposals = None);
+  (match E.enumerate ctx with
+  | [] -> Alcotest.fail "no timer armed"
+  | step :: _ -> (
+      match E.exec_step ctx step with
+      | Some (Mc_replay.Agreement, detail) ->
+          check tbool ("step reports " ^ detail) true (is_ac2 detail)
+      | _ -> Alcotest.fail "the re-decision step reports no agreement breach"));
+  check tint "the context recorded no trace" 0
+    (Trace.length (E.M.trace ctx.E.m));
+  let r =
+    E.run
+      ({
+         E.n;
+         f = 1;
+         u;
+         vote_sets = [ cfg.E.votes ];
+         klass = cfg.E.klass;
+         budgets = cfg.E.budgets;
+         symmetry = false;
+         jobs = Some 1;
+         naive = false;
+         visited = Mc_limits.Per_item;
+         swarm = None;
+       }
+        : E.params)
+  in
+  match r.E.violation with
+  | Some v ->
+      check tbool "the run reports an agreement violation" true
+        (v.Mc_replay.property = Mc_replay.Agreement);
+      check tbool ("with detail " ^ v.Mc_replay.detail) true
+        (is_ac2 v.Mc_replay.detail)
+  | None -> Alcotest.fail "the run found no violation"
 
 (* ------------------------------------------------------------------ *)
 (* Frontier scheduling: the structural-progress fix, mctable
@@ -821,25 +965,25 @@ let sweep_spaces =
   [
     ( ("inbac", 4, Mc_run.Crash, []),
       ok,
-      c 13046 19004 4826 54 4596 19384 176 658 19040 9213 574 );
+      c 13046 19004 4826 54 4596 19384 176 658 19040 9276 574 );
     ( ("inbac", 4, Mc_run.Crash, [ 1 ]),
       ok,
-      c 6523 9502 2413 27 2298 9692 88 658 9520 4765 287 );
+      c 6523 9502 2413 27 2298 9692 88 658 9520 4436 287 );
     ( ("inbac", 4, Mc_run.Crash, [ 2 ]),
       ok,
-      c 6523 9502 2413 27 2298 9692 88 658 9520 4658 287 );
+      c 6523 9502 2413 27 2298 9692 88 658 9520 4692 287 );
     ( ("paxos-commit", 4, Mc_run.Crash, [ 1 ]),
       ok,
-      c 8040 11697 3212 77 3031 10541 104 632 11724 5219 394 );
+      c 8040 11697 3212 77 3031 10541 104 632 11724 5904 394 );
     ( ("paxos-commit", 4, Mc_run.Crash, [ 2 ]),
       ok,
-      c 8209 11931 3255 80 3071 10737 104 632 11958 5445 408 );
+      c 8209 11931 3255 80 3071 10737 104 632 11958 5573 408 );
     ( ("faster-paxos-commit", 4, Mc_run.Crash, [ 1 ]),
       ok,
-      c 2705 6903 3657 71 3578 2654 8 505 6930 2505 632 );
+      c 2705 6903 3657 71 3578 2654 8 505 6930 2935 632 );
     ( ("faster-paxos-commit", 4, Mc_run.Crash, [ 2 ]),
       ok,
-      c 2705 6903 3657 71 3578 2654 8 505 6930 2656 632 );
+      c 2705 6903 3657 71 3578 2654 8 505 6930 2798 632 );
     ( ("3pc", 3, Mc_run.Network, []),
       "VIOLATION: agreement (replay-verified)",
       c 64166 162172 89571 4302 85269 51324 0 28696 0 0 0 );
@@ -917,7 +1061,14 @@ let () =
   Alcotest.run "mc"
     [
       ("canonical-vs-engine", cross_validation_tests);
-      ("fingerprint", Fp_inbac.tests @ Fp_2pc.tests);
+      ( "fingerprint",
+        Fp_inbac.tests @ Fp_2pc.tests
+        @ [
+            quick "inbac 111 crash+late: marshal partition (capped)"
+              test_inbac_all_class_partition;
+            quick "inbac 1111 f=2: marshal partition (capped)"
+              test_inbac_f2_partition;
+          ] );
       ( "witnesses",
         [
           quick "2pc blocks on coordinator crash" test_2pc_blocks_on_crash;
@@ -925,6 +1076,8 @@ let () =
             test_undershoot_crash_disagreement;
           quick "inbac crash space clean" test_inbac_crash_clean;
           quick "3pc crash space clean" test_3pc_crash_clean;
+          quick "re-decision flagged without a trace"
+            test_checker_flags_redecision;
         ] );
       ( "determinism",
         [

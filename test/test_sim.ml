@@ -750,44 +750,9 @@ let test_engine_guard_fuel () =
     (function Failure msg -> String.length msg > 0 | _ -> false)
     (fun () -> ignore (Bad_guard_engine.run (Scenario.nice ~n:2 ~f:1 ())))
 
-(* Fixture probing decision accounting: decides commit at propose, then
-   decides again at a timer — with the same value when its vote is yes,
-   with the opposite value when it voted no. The engine must trace the
-   first decision once, swallow the harmless repeat, and trace (but not
-   record) the conflicting one so Check can flag it. *)
-module Re_decider = struct
-  type msg = |
-  type state = { vote : Vote.t }
-
-  let name = "re-decider"
-  let uses_consensus = false
-  let pp_msg _ppf (m : msg) = (match m with _ -> .)
-  let init _env = { vote = Vote.yes }
-
-  let on_propose _env _state v =
-    ( { vote = v },
-      [
-        Proto.Decide Vote.commit;
-        Proto.Set_timer { id = "again"; fire = Proto.At_delay 1 };
-      ] )
-
-  let on_deliver _env _state ~src:_ (m : msg) = (match m with _ -> .)
-
-  let on_timeout _env state ~id:_ =
-    ( state,
-      [
-        Proto.Decide
-          (if Vote.equal state.vote Vote.yes then Vote.commit else Vote.abort);
-      ] )
-
-  let guards = []
-  let on_guard _env _state ~id = failwith ("re-decider: unknown guard " ^ id)
-  let on_consensus_decide _env state _d = (state, [])
-  let hash_state h s = Fingerprint.add_int h (Vote.to_int s.vote)
-  let hash_msg _h (m : msg) = (match m with _ -> .)
-  let symmetry ~n ~f:_ = Symmetry.trivial ~n
-end
-
+(* [Re_decider] (test/re_decider.ml) decides twice. The engine must
+   trace the first decision once, swallow the harmless repeat, and trace
+   (but not record) the conflicting one so Check can flag it. *)
 module Re_decider_engine = Engine.Make (Re_decider) (Consensus_null)
 
 let decide_entries report pid =
@@ -806,16 +771,18 @@ let test_engine_no_duplicate_decide () =
     (Pid.all ~n:3);
   check tbool "agreement holds" true (Check.run report).Check.agreement
 
+(* Every process votes no, so every first decision is abort and only
+   the re-decisions break agreement. *)
 let test_engine_conflicting_redecide_flagged () =
   let scenario =
-    Scenario.with_no_votes (Scenario.nice ~n:3 ~f:1 ()) [ Pid.of_rank 2 ]
+    Scenario.with_no_votes (Scenario.nice ~n:3 ~f:1 ()) (Pid.all ~n:3)
   in
   let report = Re_decider_engine.run scenario in
   check tint "conflicting re-decision traced" 2
     (List.length (decide_entries report (Pid.of_rank 2)));
   check tbool "first decision stands in the report" true
     (match Report.decision_of report (Pid.of_rank 2) with
-    | Some (_, d) -> Vote.decision_equal d Vote.commit
+    | Some (_, d) -> Vote.decision_equal d Vote.abort
     | None -> false);
   let v = Check.run report in
   check tbool "AC2 violation breaks agreement" false v.Check.agreement;
@@ -1101,9 +1068,9 @@ module Reset_check (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     loop 0 Sim_time.zero
 
-  let digest hash m p =
+  let digest hash state =
     let h = Fingerprint.create () in
-    hash m h p;
+    hash h state;
     Fingerprint.digest h
 
   let agree timers a b =
@@ -1112,11 +1079,13 @@ module Reset_check (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     List.iter
       (fun p ->
         check tbool "protocol state digest" true
-          (Fingerprint.equal (digest M.hash_pstate a p)
-             (digest M.hash_pstate b p));
+          (Fingerprint.equal
+             (digest P.hash_state (M.pstate a p))
+             (digest P.hash_state (M.pstate b p)));
         check tbool "consensus state digest" true
-          (Fingerprint.equal (digest M.hash_cstate a p)
-             (digest M.hash_cstate b p));
+          (Fingerprint.equal
+             (digest C.hash_state (M.cstate a p))
+             (digest C.hash_state (M.cstate b p)));
         List.iter
           (fun (layer, id) ->
             check tint "timer epoch" (M.timer_epoch b p layer id)
