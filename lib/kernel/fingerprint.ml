@@ -69,7 +69,6 @@ let[@inline] add_bool h x = add_int h (Bool.to_int x)
    Everything else ([add_int] on non-pid data) is unaffected. *)
 
 let set_perm h p = h.perm <- p
-let clear_perm h = h.perm <- no_perm
 let perm_active h = h.perm != no_perm
 
 let[@inline] add_pid h i =

@@ -38,8 +38,6 @@ val set_perm : t -> int array -> unit
 (** Install [sigma]: subsequent {!add_pid}[ h i] feeds [sigma.(i)]. The
     array is borrowed, not copied, and must cover every fed index. *)
 
-val clear_perm : t -> unit
-
 val perm_active : t -> bool
 
 val add_pid : t -> int -> unit

@@ -722,7 +722,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         for i = 0 to ctx.cfg.n - 1 do
           let p = Pid.of_index i in
           (* a crashed process proposes nothing: its vote is never cast *)
-          if (not (M.is_crashed ctx.m p)) && Vote.equal ctx.cfg.votes.(i) Vote.no
+          if
+            (not (M.is_crashed ctx.m p))
+            && Vote.equal ctx.cfg.votes.(i) Vote.no
           then no := true;
           M.propose ctx.m ~now:Sim_time.zero p ctx.cfg.votes.(i);
           drain_self ctx ~now:Sim_time.zero
@@ -946,13 +948,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* ---- state fingerprints ------------------------------------------ *)
 
+  let feed_clock_and_budgets h ctx =
+    Fingerprint.add_int h ctx.clock_t;
+    Fingerprint.add_int h ctx.clock_k;
+    Fingerprint.add_bool h ctx.proposed;
+    Fingerprint.add_int h ctx.late_count;
+    Fingerprint.add_bool h ctx.someone_no;
+    Fingerprint.add_int h ctx.crashes_left
+
   let decision_code = function
     | None -> 0
     | Some (_, Vote.Commit) -> 1
     | Some (_, Vote.Abort) -> 2
-
-  let[@inline] crashed_at_index ctx i =
-    match (M.crashed_at ctx.m).(i) with None -> false | Some _ -> true
 
   (* The pending multisets are fed as element digests: each message or
      timer is hashed alone into [fp_aux], its two lanes are stored as
@@ -1028,16 +1035,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let fingerprint_hashed ctx =
     let h = ctx.fp_acc in
     Fingerprint.reset h;
-    Fingerprint.add_int h ctx.clock_t;
-    Fingerprint.add_int h ctx.clock_k;
-    Fingerprint.add_bool h ctx.proposed;
-    Fingerprint.add_int h ctx.late_count;
-    Fingerprint.add_bool h ctx.someone_no;
-    Fingerprint.add_int h ctx.crashes_left;
+    feed_clock_and_budgets h ctx;
     let decs = M.decisions ctx.m in
     for i = 0 to ctx.cfg.n - 1 do
       M.feed_proc ctx.m h ~renaming:0 i;
-      Fingerprint.add_bool h (crashed_at_index ctx i);
+      Fingerprint.add_bool h (M.is_crashed ctx.m (Pid.of_index i));
       Fingerprint.add_int h (decision_code decs.(i))
     done;
     feed_els h ctx.fp_el (msg_els ctx 0 ctx.pending_msgs);
@@ -1098,7 +1100,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | t :: rest ->
         let e = ctx.fp_aux in
         Fingerprint.reset e;
-        Fingerprint.add_int e (if t.t_at > horizon then horizon + 1 else t.t_at);
+        Fingerprint.add_int e
+          (if t.t_at > horizon then horizon + 1 else t.t_at);
         Fingerprint.add_int e sigma.(Pid.index t.t_pid);
         Fingerprint.add_int e (layer_code t.t_layer);
         Fingerprint.add_int e t.t_idh;
@@ -1138,15 +1141,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     for pi = 0 to np - 1 do
       let sigma, inv = ctx.sym_perms.(pi) in
       Fingerprint.reset h;
-      Fingerprint.add_int h ctx.clock_t;
-      Fingerprint.add_int h ctx.clock_k;
-      Fingerprint.add_bool h ctx.proposed;
-      Fingerprint.add_int h ctx.late_count;
-      Fingerprint.add_bool h ctx.someone_no;
-      Fingerprint.add_int h ctx.crashes_left;
+      feed_clock_and_budgets h ctx;
       for j = 0 to ctx.cfg.n - 1 do
         let i = inv.(j) in
-        let crashed = crashed_at_index ctx i in
+        let crashed = M.is_crashed ctx.m (Pid.of_index i) in
         Fingerprint.add_bool h crashed;
         if not crashed then M.feed_proc ctx.m h ~renaming:pi i;
         Fingerprint.add_int h (decision_code decs.(i))

@@ -160,9 +160,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
 
   val restore : t -> snapshot -> unit
   (** [restore t s] rewinds [t] to the exact state captured by
-      [snapshot t]: process states, decisions, crashes, budgets, timer
-      epochs and the trace. Only the per-pid slots mutated since the
-      capture are written back. Sink callbacks are not rewound — the
+      [snapshot t]: process states with their {!feed_proc} digests,
+      decisions, the first re-decision, crashes, budgets, timer epochs
+      and the trace. Only the per-pid slots mutated since the capture
+      are written back. Sink callbacks are not rewound — the
       caller owns whatever the sink accumulated. *)
 
   val release : t -> snapshot -> unit
