@@ -172,20 +172,14 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
              | E.S_timeout t -> [ t.E.t_pid ]
      done
    with Exit -> ());
-  let touched = !touched in
-  let rec forget = function
-    | [] -> ()
-    | p :: rest ->
-        E.M.forget_digest ctx.E.m p;
-        forget rest
-  in
+  let touched = !touched and forget = E.M.forget_digest ctx.E.m in
   (* [E.fingerprint] dispatches on the context: with [~symmetry] and a
      non-trivial group this times the full canonicalization (all
      renamings + orbit minimum), otherwise the plain single hash — the
      pair is mc --stats' canonicalization ns/call *)
   fun calls ->
     for _ = 1 to calls do
-      forget touched;
+      List.iter forget touched;
       ignore (E.fingerprint ctx)
     done
 
