@@ -119,8 +119,8 @@ val fingerprint_sampler :
     the probe drops the cached digests of the processes the prefix's last
     step touched (one process, unless that step was the proposals), so a
     call costs what a DFS node pays: that process re-hashed under every
-    renaming, the other processes' cached digests and the digests of the
-    pending messages and timers. Without that, it would time a state
+    renaming, the other processes' cached digests and the running sums
+    of the pending messages and timers. Without that, it would time a state
     whose every digest is cached. With
     [~symmetry:true] the probe times the full canonicalization — every group
     renaming plus the orbit minimum — so the delta against the default
