@@ -15,6 +15,8 @@
 type t = {
   mutable a : int;
   mutable b : int;
+  mutable saved_a : int;
+  mutable saved_b : int;  (* the lanes at the last [save] *)
   mutable perm : int array;
   mutable counts : int array;
   mutable ctop : int;
@@ -40,15 +42,29 @@ let create () =
   {
     a = basis_a;
     b = basis_b;
+    saved_a = basis_a;
+    saved_b = basis_b;
     perm = no_perm;
     counts = [||];
     ctop = 0;
   }
 
+(* Accumulators are long-lived, so storing a pointer into one runs the
+   write barrier: [reset] and [set_perm] store the renaming only when it
+   changes. *)
 let reset h =
   h.a <- basis_a;
   h.b <- basis_b;
-  h.perm <- no_perm;
+  if h.perm != no_perm then h.perm <- no_perm;
+  h.ctop <- 0
+
+let save h =
+  h.saved_a <- h.a;
+  h.saved_b <- h.b
+
+let restore h =
+  h.a <- h.saved_a;
+  h.b <- h.saved_b;
   h.ctop <- 0
 
 (* inlined at every call site: the hashers feed one word at a time, so a
@@ -68,7 +84,7 @@ let[@inline] add_bool h x = add_int h (Bool.to_int x)
    exactly what the permuted state would feed with no renaming active.
    Everything else ([add_int] on non-pid data) is unaffected. *)
 
-let set_perm h p = h.perm <- p
+let set_perm h p = if h.perm != p then h.perm <- p
 let perm_active h = h.perm != no_perm
 
 let[@inline] add_pid h i =

@@ -17,6 +17,14 @@ type t
 val create : unit -> t
 val reset : t -> unit
 
+val save : t -> unit
+(** Remember the accumulator's lanes, so that several digests sharing a
+    prefix of feeds feed it once. *)
+
+val restore : t -> unit
+(** Rewind the lanes to the last {!save} (to the empty feed when there
+    was none). The installed renaming is left as it is. *)
+
 val add_int : t -> int -> unit
 val add_bool : t -> bool -> unit
 

@@ -173,14 +173,15 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
      done
    with Exit -> ());
   let touched = !touched and forget = E.M.forget_digest ctx.E.m in
-  (* [E.fingerprint] dispatches on the context: with [~symmetry] and a
+  (* [E.digest_state] dispatches on the context: with [~symmetry] and a
      non-trivial group this times the full canonicalization (all
      renamings + orbit minimum), otherwise the plain single hash — the
-     pair is mc --stats' canonicalization ns/call *)
+     pair is mc --stats' canonicalization ns/call. It leaves the lanes
+     in the context, as a DFS node reads them. *)
   fun calls ->
     for _ = 1 to calls do
       List.iter forget touched;
-      ignore (E.fingerprint ctx)
+      E.digest_state ctx
     done
 
 let verdict_string o =

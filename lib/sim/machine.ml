@@ -60,8 +60,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     decisions : (Sim_time.t * Vote.decision) option array;
     cons_decided : bool array;
         (* consensus decision already handed to the commit layer *)
-    send_budget : (Sim_time.t * int ref) option array;
-        (* [During_sends] crash: remaining network sends at that instant *)
+    send_budget : (Sim_time.t * int) option array;
+        (* [During_sends] crash: remaining network sends at that instant.
+           Immutable, replaced on every send, so snapshots share it. *)
     timer_epochs : (Trace.layer * string * int) list array;
         (* per process: current cancellation epoch of each named timer.
            Immutable alists so snapshot/restore share them by reference
@@ -213,7 +214,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let refresh_digests t i =
     let h = t.pd_fp in
     for r = 0 to t.cols - 1 do
-      Fingerprint.reset h;
+      (* [pd_fp] is never saved, so this rewinds it to the empty feed;
+         unlike [reset] it keeps the renaming, so installing the next
+         one is the only pointer store *)
+      Fingerprint.restore h;
       if Array.length t.renamings > 0 then
         Fingerprint.set_perm h t.renamings.(r);
       P.hash_state h t.pstates.(i);
@@ -255,11 +259,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      [During_sends] crash budget: exhausting the budget kills the process
      on the spot ("crashes while sending"). *)
   let may_send t ~now src =
-    match t.send_budget.(Pid.index src) with
+    let i = Pid.index src in
+    match t.send_budget.(i) with
     | Some (at, remaining) when Sim_time.equal at now ->
-        if !remaining > 0 then begin
-          decr remaining;
-          touch t (Pid.index src);
+        if remaining > 0 then begin
+          t.send_budget.(i) <- Some (at, remaining - 1);
+          touch t i;
           true
         end
         else begin
@@ -457,7 +462,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* ---- steps ----------------------------------------------------- *)
 
   let set_send_budget t pid ~at k =
-    t.send_budget.(Pid.index pid) <- Some (at, ref k);
+    t.send_budget.(Pid.index pid) <- Some (at, k);
     touch t (Pid.index pid)
 
   let crash t ~now pid = mark_crashed t ~now pid
@@ -531,8 +536,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let crash_count t = t.crash_count
   let epoch_bump_count t = t.epoch_bumps
 
-  let budget_value (at, remaining) = (at, !remaining)
-
   let copy_digests ~(src : int array) ~(dst : int array) cols i =
     for k = 2 * i * cols to (2 * (i + 1) * cols) - 1 do
       dst.(k) <- src.(k)
@@ -543,7 +546,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       {
         s_stamp = t.stamp;
         s_pooled = false;
-        s_trace = Trace.snapshot t.trace;
+        s_trace = (if t.trace_on then Trace.snapshot t.trace else empty_trace);
         s_crash_count = t.crash_count;
         s_epoch_bumps = t.epoch_bumps;
         s_pstates = Array.copy t.pstates;
@@ -551,7 +554,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         s_crashed = Array.copy t.crashed;
         s_decisions = Array.copy t.decisions;
         s_cons_decided = Array.copy t.cons_decided;
-        s_send_budget = Array.map (Option.map budget_value) t.send_budget;
+        s_send_budget = Array.copy t.send_budget;
         s_timer_epochs = Array.copy t.timer_epochs;
         s_pd_valid = Array.copy t.pd_valid;
         s_pd = Array.copy t.pd;
@@ -565,23 +568,32 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      record's own capture stamp can disagree with its arrays (every write
      path calls [touch], and [restore]'s writes re-mark with the current
      stamp instead of rewinding, so the comparison is sound even though
-     the record sat in the pool across intervening restores). *)
+     the record sat in the pool across intervening restores).
+
+     The record lives in the major heap, so each pointer store runs the
+     write barrier; a dirty pid has usually changed one or two of its
+     slots, so a slot is stored only when it is physically different.
+     The digests and flags are ints and bools, stored without one. An
+     untraced machine never writes its trace and skips its snapshot. *)
   let capture_into t s =
     s.s_pooled <- false;
-    s.s_trace <- Trace.snapshot t.trace;
+    if t.trace_on then s.s_trace <- Trace.snapshot t.trace;
     s.s_crash_count <- t.crash_count;
     s.s_epoch_bumps <- t.epoch_bumps;
-    s.s_redecision <- t.redecision;
+    if s.s_redecision != t.redecision then s.s_redecision <- t.redecision;
     let stamp = s.s_stamp in
     for i = 0 to Array.length t.pstates - 1 do
       if t.last_mut.(i) > stamp then begin
-        s.s_pstates.(i) <- t.pstates.(i);
-        s.s_cstates.(i) <- t.cstates.(i);
-        s.s_crashed.(i) <- t.crashed.(i);
-        s.s_decisions.(i) <- t.decisions.(i);
+        let ps = t.pstates.(i) and cs = t.cstates.(i) in
+        if s.s_pstates.(i) != ps then s.s_pstates.(i) <- ps;
+        if s.s_cstates.(i) != cs then s.s_cstates.(i) <- cs;
+        let cr = t.crashed.(i) and d = t.decisions.(i) in
+        if s.s_crashed.(i) != cr then s.s_crashed.(i) <- cr;
+        if s.s_decisions.(i) != d then s.s_decisions.(i) <- d;
+        let b = t.send_budget.(i) and e = t.timer_epochs.(i) in
+        if s.s_send_budget.(i) != b then s.s_send_budget.(i) <- b;
+        if s.s_timer_epochs.(i) != e then s.s_timer_epochs.(i) <- e;
         s.s_cons_decided.(i) <- t.cons_decided.(i);
-        s.s_send_budget.(i) <- Option.map budget_value t.send_budget.(i);
-        s.s_timer_epochs.(i) <- t.timer_epochs.(i);
         copy_digests ~src:t.pd ~dst:s.s_pd t.cols i;
         s.s_pd_valid.(i) <- t.pd_valid.(i)
       end
@@ -619,23 +631,26 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
          retire it to the GC instead of handing it across domains *)
     end
 
+  (* The machine's arrays are long-lived too: as in [capture_into], a
+     slot is written back only when it differs. *)
   let restore t s =
-    Trace.restore t.trace s.s_trace;
+    if t.trace_on then Trace.restore t.trace s.s_trace;
     t.crash_count <- s.s_crash_count;
     t.epoch_bumps <- s.s_epoch_bumps;
-    t.redecision <- s.s_redecision;
+    if t.redecision != s.s_redecision then t.redecision <- s.s_redecision;
     let stamp = s.s_stamp in
     for i = 0 to Array.length t.pstates - 1 do
       if t.last_mut.(i) > stamp then begin
-        t.pstates.(i) <- s.s_pstates.(i);
-        t.cstates.(i) <- s.s_cstates.(i);
-        t.crashed.(i) <- s.s_crashed.(i);
-        t.decisions.(i) <- s.s_decisions.(i);
+        let ps = s.s_pstates.(i) and cs = s.s_cstates.(i) in
+        if t.pstates.(i) != ps then t.pstates.(i) <- ps;
+        if t.cstates.(i) != cs then t.cstates.(i) <- cs;
+        let cr = s.s_crashed.(i) and d = s.s_decisions.(i) in
+        if t.crashed.(i) != cr then t.crashed.(i) <- cr;
+        if t.decisions.(i) != d then t.decisions.(i) <- d;
+        let b = s.s_send_budget.(i) and e = s.s_timer_epochs.(i) in
+        if t.send_budget.(i) != b then t.send_budget.(i) <- b;
+        if t.timer_epochs.(i) != e then t.timer_epochs.(i) <- e;
         t.cons_decided.(i) <- s.s_cons_decided.(i);
-        t.send_budget.(i) <-
-          Option.map (fun (at, remaining) -> (at, ref remaining))
-            s.s_send_budget.(i);
-        t.timer_epochs.(i) <- s.s_timer_epochs.(i);
         copy_digests ~src:s.s_pd ~dst:t.pd t.cols i;
         t.pd_valid.(i) <- s.s_pd_valid.(i);
         t.last_mut.(i) <- t.stamp
