@@ -909,7 +909,7 @@ let mc_cmd =
     let swarm_opt =
       if swarm then Some true else if no_swarm then Some false else None
     in
-    let gc0 = Gc.quick_stat () in
+    let gc0 = Gc.quick_stat () and w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let outcome =
       Mc_run.run ~consensus ?vote_sets ~budgets ~symmetry ?jobs
@@ -917,7 +917,7 @@ let mc_cmd =
         ~klass ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let gc1 = Gc.quick_stat () in
+    let w1 = Gc.minor_words () and gc1 = Gc.quick_stat () in
     Format.printf "%a@." Mc_run.pp_outcome outcome;
     if stats then begin
       let c = outcome.Mc_run.counters in
@@ -984,14 +984,17 @@ let mc_cmd =
               Printf.sprintf " (the first of %d explored vote vectors)"
                 (List.length explored))
       end;
-      (* Gc.quick_stat reads the calling domain only; with --jobs 1 the
+      (* Both gauges read the calling domain only; with --jobs 1 the
          exploration runs inline on this domain, so the deltas cover it
-         exactly. With more domains they undercount. *)
+         exactly. With more domains they undercount. Minor words come
+         from Gc.minor_words: Gc.quick_stat's count leaves out the words
+         still in the minor heap, so it moves in steps of a whole minor
+         heap (256k words) divided by the state count. *)
       let per_state x = x /. float_of_int (max c.Mc_limits.states 1) in
       Format.printf
         "stats: gc minor-words/state %.1f, promoted-words/state %.1f, \
          major collections %d (main domain; exact at --jobs 1)@."
-        (per_state (gc1.Gc.minor_words -. gc0.Gc.minor_words))
+        (per_state (w1 -. w0))
         (per_state (gc1.Gc.promoted_words -. gc0.Gc.promoted_words))
         (gc1.Gc.major_collections - gc0.Gc.major_collections)
     end;
