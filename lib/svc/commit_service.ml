@@ -51,6 +51,7 @@ type stats = {
   committed : int;
   aborted : int;
   local_aborts : int;
+  stale_aborts : int;
   queued : int;
   parked : int;
   instances : int;
@@ -265,6 +266,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
     let issued = ref 0 in
     let committed = ref 0 and aborted = ref 0 and local_aborts = ref 0 in
+    let stale_aborts = ref 0 in
     let queued = ref 0 in
     let total_waiting = ref 0 in
     (* soak mode swaps the exact (every-sample-retained) histograms for
@@ -437,7 +439,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       (* per-shard vote: optimistic read validation. No key of the batch
          is write-locked by another instance — launch turned those members
          away — so validating the reads is the whole certification: a
-         shard votes no iff some read it owns is stale. *)
+         shard votes no iff some read it owns is stale. Launch also
+         dropped the stale members, so every vote here is yes; the
+         check stays as the protocol's input, and a launch filter that
+         let a stale read through shows up as an instance abort. *)
       Array.fill inst.votes 0 n Vote.yes;
       List.iter
         (fun w ->
@@ -454,10 +459,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       if !in_flight > !peak_in_flight then peak_in_flight := !in_flight;
       schedule_instance_events inst now
     in
+    let rec reads_fresh (w : waiter) j =
+      j = Array.length w.w_reads
+      || Keyspace.version ks w.w_reads.(j) = w.w_read_vers.(j)
+         && reads_fresh w (j + 1)
+    in
     (* Conflicts that developed after admission (inside the batch window,
        or while the batch sat behind the pipeline cap) would only launch
        an instance doomed to No votes: re-queue those members on the
-       holder instead (or abort them locally) and launch the rest. *)
+       holder instead (or abort them locally). A free member whose read
+       went stale since submit can only make its shard vote no, so it
+       aborts locally here instead of taking its batch-mates down with
+       it; the rest launch. *)
     let start_instance now (waiters_in : waiter list) =
       let members =
         List.filter
@@ -466,7 +479,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             | Some holder ->
                 wait_or_abort now w holder;
                 false
-            | None -> true)
+            | None ->
+                if reads_fresh w 0 then true
+                else begin
+                  incr local_aborts;
+                  incr stale_aborts;
+                  client_resubmit now w.w_client;
+                  false
+                end)
           waiters_in
       in
       match members with [] -> () | _ -> start_members now members
@@ -934,6 +954,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       committed = !committed;
       aborted = !aborted;
       local_aborts = !local_aborts;
+      stale_aborts = !stale_aborts;
       queued = !queued;
       parked;
       instances = instances_n;
@@ -969,6 +990,7 @@ let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
   if n < 2 then invalid_arg "Commit_service.run: n < 2";
   if f < 1 || f > n - 1 then invalid_arg "Commit_service.run: bad f";
   if spec.clients < 1 then invalid_arg "Commit_service.run: no clients";
+  if spec.txns < 0 then invalid_arg "Commit_service.run: txns < 0";
   if spec.writes_per_txn < 1 then
     invalid_arg "Commit_service.run: writes_per_txn < 1";
   if spec.reads_per_txn < 0 then
@@ -1013,15 +1035,16 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "@[<v2>%s: %d txns -> %d committed, %d aborted (%d local), %d \
      unresolved@,\
-     %d waited, goodput %.3f, queue depth %a@,\
+     %d waited, %d stale at launch, goodput %.3f, queue depth %a@,\
      %d instances (+%d retries, %d elections -> %d stolen), mean batch \
      %.2f, peak in-flight %d@,\
      %d msgs, %d staged left, makespan %.1f delays, zipf s=%.3f@,\
      latency %a@,\
      %.0f commits/sec (wall %.3fs), %.0f minor words/txn%s%s@]"
     s.protocol s.transactions s.committed (s.aborted + s.local_aborts)
-    s.local_aborts s.parked s.queued s.goodput Histogram.pp_summary
-    s.queue_depth s.instances s.retries s.elections s.stolen s.mean_batch s.peak_in_flight s.total_messages
+    s.local_aborts s.parked s.queued s.stale_aborts s.goodput
+    Histogram.pp_summary s.queue_depth s.instances s.retries s.elections
+    s.stolen s.mean_batch s.peak_in_flight s.total_messages
     s.staged_left s.makespan_delays s.zipf_s Histogram.pp_summary s.latency
     s.commits_per_sec s.wall_seconds s.minor_words_per_txn
     (if s.atomicity_ok then "" else "  ATOMICITY VIOLATED")
@@ -1044,6 +1067,7 @@ let arm_json_body (s : stats) =
       Printf.sprintf "\"committed\": %d, " s.committed;
       Printf.sprintf "\"aborted\": %d, " s.aborted;
       Printf.sprintf "\"local_aborts\": %d, " s.local_aborts;
+      Printf.sprintf "\"stale_aborts\": %d, " s.stale_aborts;
       Printf.sprintf "\"queued\": %d, " s.queued;
       Printf.sprintf "\"parked\": %d, " s.parked;
       Printf.sprintf "\"instances\": %d, " s.instances;

@@ -41,7 +41,15 @@
       drain on every decision, election takeover and recovery adoption.
       The same check runs again when a batch launches, so no two launched
       instances ever hold the same key: the lock table is one holder slot
-      per key index, and a shard's vote is read validation alone. A
+      per key index, and a shard's vote is read validation alone. After
+      that check, launch validates the reads of the members that passed
+      it: a member whose read version moved since submit could only make
+      its shard vote no and abort every batch-mate, so it aborts locally
+      instead (counted in [stale_aborts]) and the rest launch; a batch
+      left empty starts no instance. Without failures every launched
+      instance therefore commits. Only launch checks staleness: a waiter
+      is not aborted at re-admission, nor before the holder check, since
+      a doomed client that resubmits sooner only lowers goodput. A
       transaction's key indices, owner shards and interned write-owner
       set are computed once at submit, so re-admitting a waiter reads
       array slots and never formats or hashes a key.
@@ -84,7 +92,7 @@
 
 type spec = {
   clients : int;  (** closed-loop clients *)
-  txns : int;  (** total transactions to issue across all clients *)
+  txns : int;  (** total transactions to issue across all clients; >= 0 *)
   think_gap : Sim_time.t;
       (** max client think time between decision and next submit *)
   keys : int;
@@ -138,8 +146,13 @@ type stats = {
   local_aborts : int;
       (** aborted at admission or launch without an instance: a key was
           write-locked by an in-flight instance and the wait budget ran
-          out, or the holder had already decided (its locks release only
-          on a recovery, so waiting is unbounded) *)
+          out, the holder had already decided (its locks release only on
+          a recovery, so waiting is unbounded), or a read had gone stale
+          by launch *)
+  stale_aborts : int;
+      (** the part of [local_aborts] dropped at launch because a read's
+          version had moved since submit: their shard could only have
+          voted no *)
   queued : int;
       (** transactions that waited on a holder's queue at least once *)
   parked : int;  (** still unresolved at end of run (includes waiters) *)

@@ -202,6 +202,41 @@ let test_election_vs_recovery_reconciles () =
   check tbool "atomic" true s.Commit_service.atomicity_ok;
   check tbool "agreement" true s.Commit_service.agreement_ok
 
+(* Launch drops every member whose read went stale since submit, and
+   a launched batch holds no key another instance holds, so without a
+   crash or an outage every shard votes yes: no instance may abort, and
+   every transaction that did not commit was turned away without one.
+   A launch filter that validates only a member's first read lets the
+   second one through, and its instance aborts. *)
+let test_failure_free_instances_commit () =
+  let stale = ref 0 in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun zipf_s ->
+          List.iter
+            (fun seed ->
+              let spec =
+                { Commit_service.default with Commit_service.zipf_s; seed }
+              in
+              let s = run ~spec protocol in
+              let name =
+                Printf.sprintf "%s zipf %.2f seed %d" protocol zipf_s seed
+              in
+              check tint (name ^ ": no instance aborts") 0
+                s.Commit_service.aborted;
+              check tint (name ^ ": the rest aborted locally")
+                s.Commit_service.transactions
+                (s.Commit_service.committed + s.Commit_service.local_aborts);
+              check tbool (name ^ ": stale drops are local aborts") true
+                (s.Commit_service.stale_aborts
+                <= s.Commit_service.local_aborts);
+              stale := !stale + s.Commit_service.stale_aborts)
+            [ 1; 2; 3 ])
+        [ Commit_service.default.Commit_service.zipf_s; 0.8 ])
+    [ "inbac"; "2pc"; "paxos-commit" ];
+  check tbool "reads went stale before launch" true (!stale > 0)
+
 let test_nominal_run_has_no_elections () =
   let s = run "inbac" in
   check tint "no outage, no elections" 0 s.Commit_service.elections;
@@ -555,6 +590,8 @@ let test_spec_validation () =
   in
   check tbool "no clients" true
     (invalid { small with Commit_service.clients = 0 });
+  check tbool "negative transaction count" true
+    (invalid { small with Commit_service.txns = -1 });
   check tbool "no writes" true
     (invalid { small with Commit_service.writes_per_txn = 0 });
   check tbool "pipeline depth < 1" true
@@ -614,7 +651,7 @@ let test_golden_arm_bodies () =
           contended with
           Commit_service.outages = [ (2, 5 * u, Some (40 * u)) ];
         },
-        {|"transactions": 1000, "committed": 423, "aborted": 433, "local_aborts": 144, "queued": 684, "parked": 0, "instances": 785, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.090446, "peak_in_flight": 15, "messages": 17544, "staged_left": 0, "abort_rate": 0.577000, "goodput": 0.423000, "zipf_s": 0.900000, "latency_delays": {"mean": 6.567650, "p50": 2.500000, "p95": 23.296000, "p99": 71.819000, "max": 109.373000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 36.647732, "p50": 39.000000, "p95": 58.000000, "p99": 60.000000, "max": 62.000000}, "atomicity_ok": true, "agreement_ok": true|}
+        {|"transactions": 1000, "committed": 396, "aborted": 44, "local_aborts": 560, "stale_aborts": 488, "queued": 728, "parked": 0, "instances": 418, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.052632, "peak_in_flight": 11, "messages": 9815, "staged_left": 0, "abort_rate": 0.604000, "goodput": 0.396000, "zipf_s": 0.900000, "latency_delays": {"mean": 4.706692, "p50": 2.500000, "p95": 13.315000, "p99": 29.667000, "max": 34.909000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 43.677085, "p50": 48.000000, "p95": 57.000000, "p99": 59.000000, "max": 61.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
       ( "2pc n=4 f=1, outages 1@5:40 and 3@60",
         ("2pc", 4, 1),
@@ -623,7 +660,7 @@ let test_golden_arm_bodies () =
           Commit_service.outages =
             [ (1, 5 * u, Some (40 * u)); (3, 60 * u, None) ];
         },
-        {|"transactions": 1000, "committed": 63, "aborted": 280, "local_aborts": 657, "queued": 449, "parked": 0, "instances": 287, "retries": 2, "elections": 20, "stolen": 20, "mean_batch": 1.195122, "peak_in_flight": 14, "messages": 1552, "staged_left": 0, "abort_rate": 0.937000, "goodput": 0.063000, "zipf_s": 0.900000, "latency_delays": {"mean": 9.770159, "p50": 4.003000, "p95": 35.628000, "p99": 50.093000, "max": 50.093000}, "time_parked_delays": {"mean": 13.041409, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 36.649272, "p50": 40.000000, "p95": 54.000000, "p99": 59.000000, "max": 62.000000}, "atomicity_ok": true, "agreement_ok": true|}
+        {|"transactions": 1000, "committed": 93, "aborted": 226, "local_aborts": 681, "stale_aborts": 89, "queued": 503, "parked": 0, "instances": 283, "retries": 8, "elections": 20, "stolen": 20, "mean_batch": 1.127208, "peak_in_flight": 14, "messages": 1582, "staged_left": 0, "abort_rate": 0.907000, "goodput": 0.093000, "zipf_s": 0.900000, "latency_delays": {"mean": 8.790086, "p50": 3.502000, "p95": 34.580000, "p99": 45.205000, "max": 45.205000}, "time_parked_delays": {"mean": 11.321357, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 35.808495, "p50": 39.000000, "p95": 54.000000, "p99": 59.000000, "max": 60.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
       ( "2pc n=66 f=1, wide batches",
         ("2pc", 66, 1),
@@ -636,7 +673,7 @@ let test_golden_arm_bodies () =
           max_batch = 16;
           seed = 3;
         },
-        {|"transactions": 400, "committed": 112, "aborted": 275, "local_aborts": 13, "queued": 372, "parked": 0, "instances": 387, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.000000, "peak_in_flight": 18, "messages": 50310, "staged_left": 0, "abort_rate": 0.720000, "goodput": 0.280000, "zipf_s": 0.570462, "latency_delays": {"mean": 13.939098, "p50": 9.390000, "p95": 35.073000, "p99": 89.128000, "max": 164.000000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 63.446980, "p50": 65.000000, "p95": 114.000000, "p99": 116.000000, "max": 118.000000}, "atomicity_ok": true, "agreement_ok": true|}
+        {|"transactions": 400, "committed": 83, "aborted": 0, "local_aborts": 317, "stale_aborts": 317, "queued": 340, "parked": 0, "instances": 83, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 1.000000, "peak_in_flight": 13, "messages": 10790, "staged_left": 0, "abort_rate": 0.792500, "goodput": 0.207500, "zipf_s": 0.570462, "latency_delays": {"mean": 6.121747, "p50": 4.988000, "p95": 9.916000, "p99": 14.138000, "max": 14.138000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 58.417346, "p50": 61.000000, "p95": 106.000000, "p99": 114.000000, "max": 116.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
       ( "inbac n=5 f=2, uniform over 65536 keys",
         ("inbac", 5, 2),
@@ -647,7 +684,7 @@ let test_golden_arm_bodies () =
           keys = 65536;
           zipf_s = 0.0;
         },
-        {|"transactions": 2000, "committed": 1926, "aborted": 74, "local_aborts": 0, "queued": 33, "parked": 0, "instances": 443, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 4.514673, "peak_in_flight": 51, "messages": 8860, "staged_left": 0, "abort_rate": 0.037000, "goodput": 0.963000, "zipf_s": 0.000000, "latency_delays": {"mean": 2.295075, "p50": 2.294000, "p95": 2.500000, "p99": 2.500000, "max": 4.803000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 2.636364, "p50": 2.000000, "p95": 5.000000, "p99": 6.000000, "max": 6.000000}, "atomicity_ok": true, "agreement_ok": true|}
+        {|"transactions": 2000, "committed": 1980, "aborted": 0, "local_aborts": 20, "stale_aborts": 20, "queued": 44, "parked": 0, "instances": 441, "retries": 0, "elections": 0, "stolen": 0, "mean_batch": 4.489796, "peak_in_flight": 53, "messages": 8820, "staged_left": 0, "abort_rate": 0.010000, "goodput": 0.990000, "zipf_s": 0.000000, "latency_delays": {"mean": 2.295051, "p50": 2.278000, "p95": 2.500000, "p99": 3.014000, "max": 4.826000}, "time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}, "queue_depth": {"mean": 3.272727, "p50": 3.000000, "p95": 6.000000, "p99": 7.000000, "max": 7.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
       ( "2pc n=4 f=1, think 20U, outage 1@5 never heals",
         ("2pc", 4, 1),
@@ -659,7 +696,7 @@ let test_golden_arm_bodies () =
           outages = [ (1, 5 * u, None) ];
           seed = 42;
         },
-        {|"transactions": 2000, "committed": 704, "aborted": 420, "local_aborts": 876, "queued": 748, "parked": 0, "instances": 836, "retries": 0, "elections": 541, "stolen": 541, "mean_batch": 1.344498, "peak_in_flight": 29, "messages": 5829, "staged_left": 0, "abort_rate": 0.648000, "goodput": 0.352000, "zipf_s": 0.570462, "latency_delays": {"mean": 16.878744, "p50": 14.793000, "p95": 29.668000, "p99": 64.410000, "max": 106.789000}, "time_parked_delays": {"mean": 14.000000, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 63.695321, "p50": 69.000000, "p95": 97.000000, "p99": 110.000000, "max": 116.000000}, "atomicity_ok": true, "agreement_ok": true|}
+        {|"transactions": 2000, "committed": 880, "aborted": 0, "local_aborts": 1120, "stale_aborts": 342, "queued": 781, "parked": 0, "instances": 688, "retries": 0, "elections": 663, "stolen": 663, "mean_batch": 1.279070, "peak_in_flight": 26, "messages": 6117, "staged_left": 0, "abort_rate": 0.560000, "goodput": 0.440000, "zipf_s": 0.570462, "latency_delays": {"mean": 17.546225, "p50": 14.828000, "p95": 33.881000, "p99": 74.215000, "max": 130.398000}, "time_parked_delays": {"mean": 14.000000, "p50": 14.000000, "p95": 14.000000, "p99": 14.000000, "max": 14.000000}, "queue_depth": {"mean": 80.979341, "p50": 86.000000, "p95": 104.000000, "p99": 113.000000, "max": 116.000000}, "atomicity_ok": true, "agreement_ok": true|}
       );
     ]
   in
@@ -733,6 +770,8 @@ let () =
           quick "election accounting" test_election_accounting;
           quick "election then recovery reconciles"
             test_election_vs_recovery_reconciles;
+          quick "failure-free instances commit"
+            test_failure_free_instances_commit;
           quick "nominal run has no elections"
             test_nominal_run_has_no_elections;
           quick "inbac crash non-blocking" test_inbac_crash_non_blocking;
