@@ -1,6 +1,6 @@
 (* Two representations behind one interface. [Exact] retains every
    sample verbatim (nearest-rank percentiles by selection) and is right
-   for bounded runs. [Streaming] is the soak-mode variant: a fixed array of
+   for bounded runs. [Streaming] is the long-run variant: a fixed array of
    equal-width bins over [0, max] plus an overflow bin, so memory is
    O(bins) however many samples arrive; percentiles come back as the
    upper edge of the covering bin (error bounded by one bin width),

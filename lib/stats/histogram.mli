@@ -3,7 +3,7 @@
     The default ({!create}) keeps samples verbatim (a growable float
     buffer) and computes nearest-rank percentiles by selecting each rank
     from a copy, without sorting it whole — exact, and the right trade
-    for bounded runs. The soak-mode variant ({!streaming}) folds
+    for bounded runs. The streaming variant ({!streaming}) folds
     samples into a fixed array of equal-width bins plus an overflow bin,
     so memory stays O(bins) over a million-transaction run; its
     percentiles report the covering bin's upper edge (error bounded by

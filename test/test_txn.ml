@@ -667,7 +667,7 @@ let test_histogram_two_valued () =
   check f "percentile 0.5" 1.0 (Histogram.percentile h 0.5);
   check f "percentile 1" 3.0 (Histogram.percentile h 1.0)
 
-(* Streaming histogram (soak mode): constant-memory fixed-bin percentiles.
+(* Streaming histogram (long runs): constant-memory fixed-bin percentiles.
    Same interface as the exact variant; percentiles report the covering
    bin's upper edge clamped to the observed maximum, so the error is
    bounded by one bin width. *)
