@@ -30,6 +30,9 @@ type stats = {
           ran out, the holder had already decided, or a read went stale
           by launch *)
   stale_aborts : int;  (** the part of [local_aborts] stale at launch *)
+  requeued : int;
+      (** batch members sent back to a holder's queue at launch, each
+          time one is *)
   queued : int;  (** transactions that waited on a holder at least once *)
   parked : int;  (** still unresolved at end of run (includes waiters) *)
   instances : int;  (** commit instances launched (first attempts) *)
@@ -84,8 +87,9 @@ val create :
     transaction, message (to another shard) and instance. An instance is
     [driven] at launch and at every re-drive, and [quiesced] once no event
     of it is left in flight; {!in_flight} counts the difference. A
-    transaction [waited] on a holder ([first] on its first wait) and is
-    [woken] to be re-admitted. *)
+    transaction [waited] on a holder ([first] on its first wait,
+    [at_launch] when its batch was launching) and is [woken] to be
+    re-admitted. *)
 
 val issue : t -> Sim_time.t -> int
 val sent : t -> int
@@ -95,7 +99,7 @@ val quiesced : t -> unit
 val retried : t -> unit
 val elected : t -> unit
 val aborted_locally : t -> stale:bool -> unit
-val waited : t -> first:bool -> unit
+val waited : t -> first:bool -> at_launch:bool -> unit
 val woken : t -> unit
 val issued : t -> int
 val in_flight : t -> int
