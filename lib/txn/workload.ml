@@ -43,13 +43,36 @@ type stats = {
 
 module Zipf = struct
   (* [cdf] is empty at s = 0: pow(x, 0) = 1 and sums of 1.0 are exact, so
-     the CDF there is exactly fl((i+1)/keys) and needs no table *)
-  type t = { keys : int; s : float; cdf : float array }
+     the CDF there is exactly fl((i+1)/keys) and needs no table. Above 0,
+     [guide] cuts [0, 1) into nb equal buckets, nb a power of two: entry
+     b < nb is the first rank whose CDF value is not below b/nb, and entry
+     nb the last rank. *)
+  type t = { keys : int; s : float; cdf : float array; guide : int array }
+
+  (* the least power of two from 2 up that is at least twice [keys], or
+     4096 *)
+  let rec buckets nb keys =
+    if nb >= 4096 || nb >= 2 * keys then nb else buckets (2 * nb) keys
+
+  let guide_of cdf =
+    let keys = Array.length cdf in
+    let nb = buckets 2 keys in
+    let guide = Array.make (nb + 1) (keys - 1) in
+    let i = ref 0 in
+    for b = 0 to nb - 1 do
+      (* stops by the last rank, whose CDF value is 1 *)
+      let edge = float_of_int b /. float_of_int nb in
+      while cdf.(!i) < edge do
+        incr i
+      done;
+      guide.(b) <- !i
+    done;
+    guide
 
   let make ~keys ~s =
     if keys < 1 then invalid_arg "Workload.Zipf.make: keys < 1";
     let s = if Float.is_nan s || s < 0.0 then 0.0 else s in
-    if s = 0.0 then { keys; s; cdf = [||] }
+    if s = 0.0 then { keys; s; cdf = [||]; guide = [||] }
     else begin
       let cdf = Array.make keys 0.0 in
       let acc = ref 0.0 in
@@ -62,7 +85,7 @@ module Zipf = struct
         cdf.(i) <- cdf.(i) /. total
       done;
       cdf.(keys - 1) <- 1.0;
-      { keys; s; cdf }
+      { keys; s; cdf; guide = guide_of cdf }
     end
 
   let uniform ~keys = make ~keys ~s:0.0
@@ -101,7 +124,10 @@ module Zipf = struct
   (* The smallest rank whose CDF value is not below [r] (the last rank
      when there is none). At s = 0 the exact quotient puts it at
      ceil(r * keys) - 1; the walks correct that guess for rounding, one
-     step at most in either direction for r in [0, 1). *)
+     step at most in either direction for r in [0, 1). Above 0, r's
+     bucket b = floor(r * nb) is exact (nb is a power of two), so
+     b/nb <= r < (b+1)/nb and the rank lies between guide entries b and
+     b + 1: a binary search between them. *)
   let rank t r =
     if closed_form t then begin
       let last = t.keys - 1 in
@@ -116,7 +142,12 @@ module Zipf = struct
       !i
     end
     else begin
-      let lo = ref 0 and hi = ref (t.keys - 1) in
+      let nb = Array.length t.guide - 1 in
+      let b =
+        if r >= 1.0 then nb - 1
+        else max 0 (int_of_float (r *. float_of_int nb))
+      in
+      let lo = ref t.guide.(b) and hi = ref t.guide.(b + 1) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         if t.cdf.(mid) < r then lo := mid + 1 else hi := mid

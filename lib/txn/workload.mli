@@ -8,7 +8,9 @@ module Zipf : sig
   (** Zipf(s) key popularity over a keyspace "k0" .. "k<keys-1>": rank
       [i] (0-based) is drawn with probability proportional to
       [1 / (i+1)^s]. For [s > 0] the CDF is precomputed at construction,
-      so a draw is one uniform variate plus a binary search. [s = 0] is
+      with a guide table that cuts \[0, 1) into at most 4096 equal
+      buckets (the first rank of each), so a draw is one uniform variate
+      plus a binary search over the few ranks of its bucket. [s = 0] is
       the uniform distribution, whose CDF has the closed form
       [fl((i+1)/keys)]: it is built in constant time and a draw is one
       uniform variate, one multiply and a one-step correction, landing on

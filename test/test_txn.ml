@@ -488,11 +488,11 @@ let prop_zipf_draws_in_range_and_skewed =
    (accumulated 1/(i+1)^0, normalized, last entry 1) and a binary search
    over it: at seeded variates, at every boundary value fl(i/keys) and its
    neighbours, and for [mass_top] at every h. *)
-let reference_cdf keys =
+let reference_cdf ?(s = 0.0) keys =
   let cdf = Array.make keys 0.0 in
   let acc = ref 0.0 in
   for i = 0 to keys - 1 do
-    acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) 0.0);
+    acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
     cdf.(i) <- !acc
   done;
   let total = !acc in
@@ -554,6 +554,27 @@ let prop_uniform_draw =
   QCheck.Test.make ~count:100 ~name:"s = 0 draw = binary search over its CDF"
     QCheck.(triple (int_range 1 5000) (oneofl uniform_exponents) small_int)
     (fun (keys, s, seed) -> uniform_draw_matches ~keys ~exps:[ s ] ~seed)
+
+(* The s > 0 draw searches only the guide bucket of its variate: it must
+   land where a binary search over the whole CDF does, at random variates
+   and at every CDF value and its float neighbours (1.0's upper neighbour
+   included, which maps to the last rank). *)
+let prop_guided_draw =
+  QCheck.Test.make ~count:60
+    ~name:"s > 0 guided draw = binary search over its CDF"
+    QCheck.(
+      triple
+        (oneofl [ 0.3; 0.8; 1.2 ])
+        (oneofl [ 1; 2; 2048; 5000 ])
+        (list_of_size (Gen.return 200) (float_bound_exclusive 1.0)))
+    (fun (s, keys, rs) ->
+      let d = Workload.Zipf.make ~keys ~s in
+      let cdf = reference_cdf ~s keys in
+      let agrees r = Workload.Zipf.rank d r = reference_rank cdf r in
+      List.for_all agrees rs
+      && Array.for_all
+           (fun c -> agrees c && agrees (Float.pred c) && agrees (Float.succ c))
+           cdf)
 
 let prop_distinct_keys_unique_and_terminates =
   QCheck.Test.make ~count:200
@@ -831,6 +852,7 @@ let () =
           quick "uniform draw at pinned sizes" test_uniform_draw_pinned_sizes;
           prop prop_zipf_draws_in_range_and_skewed;
           prop prop_uniform_draw;
+          prop prop_guided_draw;
           prop prop_distinct_keys_unique_and_terminates;
         ] );
       ( "histogram",
