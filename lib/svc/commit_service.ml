@@ -58,7 +58,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* One commit instance; a retired record and its machine serve the next
      launch. *)
   type inst = {
-    hid : int;  (* admission's holder id: the record's number, for life *)
+    mutable hid : int;  (* the holder id admission launched it under *)
     mutable i_id : int;  (* launch order *)
     mutable tag : int;  (* current Mux tag; re-tagged on every re-drive *)
     mutable i_members : Svc_admission.waiter list;  (* oldest first *)
@@ -102,7 +102,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        timer) finds no instance and dies inert *)
     mutable slots : inst option array;
     mutable pool : inst list;  (* retired records *)
-    mutable records : int;  (* records made so far *)
   }
 
   (* The instance-tagged sink: one network, one clock, one rng across
@@ -190,9 +189,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     inst.quiesced <- false;
     Svc_history.driven t.hist
 
-  (* Admission's launch: stage the members' writes, take a record, vote
-     and drive. Returns the record's holder id. *)
-  let launch t now (members : Svc_admission.waiter list) =
+  (* Admission's launch under holder [hid]: stage the members' writes,
+     take a record, vote and drive. *)
+  let launch t now hid (members : Svc_admission.waiter list) =
     (* write-ahead: every owner stages its legs before voting *)
     List.iter
       (fun (w : Svc_admission.waiter) ->
@@ -207,8 +206,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           t.pool <- rest;
           inst
       | [] ->
-          let hid = t.records in
-          t.records <- hid + 1;
           (* blank; [drive] resets the machine under its real sink *)
           { hid; i_id = 0; tag = 0; i_members = []; outcome = None;
             votes = Array.make t.n Vote.no; quiesced = false;
@@ -218,6 +215,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             resolved = Array.make t.n false; elected = false;
             parked_at = None }
     in
+    inst.hid <- hid;
     inst.i_id <- Svc_history.launched t.hist ~members:(List.length members);
     inst.i_members <- members;
     inst.outcome <- None;
@@ -237,8 +235,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           w.w_reads)
       members;
     drive t now inst;
-    schedule_instance_events t inst now ~replay:false;
-    inst.hid
+    schedule_instance_events t inst now ~replay:false
 
   (* Re-run a parked instance from its recorded votes: after a recovery,
      or [elected] by a stand-in as a crash-free replay, so a blocking
@@ -274,11 +271,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       inst.i_members
 
   (* An instance whose every shard resolved is pure history: check its
-     staging now, then recycle the slot and the record. *)
-  let maybe_retire t inst =
+     staging now, then recycle the slot, the holder id and the record. *)
+  let maybe_retire t adm inst =
     match inst.outcome with
     | Some _ when Array.for_all Fun.id inst.resolved ->
         check_staging t inst;
+        Svc_admission.retire adm inst.hid;
         t.slots.(Mux.slot inst.tag) <- None;
         Mux.retire t.q inst.tag;
         inst.i_members <- [];
@@ -321,7 +319,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             resubmit t now w.w_client)
           inst.i_members;
         Svc_admission.drain adm now inst.hid;
-        maybe_retire t inst);
+        maybe_retire t adm inst);
     Svc_admission.launch_ready adm now
 
   (* Allocation-lean transaction generation: pick distinct key indices
@@ -411,7 +409,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             if not inst.resolved.(shard) then begin
               resolve_at_shard t adm inst shard;
               Svc_admission.drain adm now inst.hid;
-              maybe_retire t inst
+              maybe_retire t adm inst
             end)
           decided;
         List.iter (redrive t now ~elected:false) parked
@@ -467,7 +465,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         down = Array.make n false;
         scratch =
           Array.make (max 1 (spec.reads_per_txn + spec.writes_per_txn)) 0;
-        slots = Array.make 256 None; pool = []; records = 0 }
+        slots = Array.make 256 None; pool = [] }
     in
     let adm =
       Svc_admission.create ~ks:t.ks ~hist ~keys:spec.keys
