@@ -527,9 +527,10 @@ let txserve_cmd =
       value & opt int 64
       & info [ "wait-budget" ] ~docv:"K"
           ~doc:
-            "Max times a transaction may wait FIFO on the instance holding \
-             one of its keys before it aborts locally. 0 aborts on every \
-             conflict (the coordinator-side OCC check).")
+            "Max times a transaction may wait FIFO on the instance or open \
+             batch holding one of its keys before it aborts locally. 0 \
+             aborts on every conflict (the coordinator-side OCC check), a \
+             write to a key an open batch holds included.")
   in
   let keys_arg =
     Arg.(
