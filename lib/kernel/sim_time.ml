@@ -5,8 +5,8 @@ let compare = Int.compare
 let equal = Int.equal
 let ( + ) = Stdlib.( + )
 let ( - ) = Stdlib.( - )
-let max = Stdlib.max
-let min = Stdlib.min
+let max = Int.max
+let min = Int.min
 let default_u = 1000
 let of_delays ~u k = k * u
 let delays ~u t = float_of_int t /. float_of_int u
