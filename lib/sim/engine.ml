@@ -41,6 +41,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                epoch lags the current one was cancelled in the meantime *)
       }
 
+  (* what a taken queue slot holds *)
+  let vacant = Crash (Pid.of_index 0)
+
   let run (scenario : Scenario.t) =
     let n = scenario.Scenario.n in
     let env_of pid =
@@ -51,7 +54,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         self = pid;
       }
     in
-    let queue = Event_queue.create () in
+    let queue = Event_queue.create ~vacant in
     let rng = Rng.create scenario.Scenario.seed in
     let send_seq = ref 0 in
     let sink =
@@ -116,11 +119,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let rec loop () =
       if Event_queue.is_empty queue then Report.Quiescent !last_event_time
       else
-        let time = Event_queue.min_time queue in
+        let ev = Event_queue.take queue in
+        let time = Event_queue.taken_time queue in
         if time > scenario.Scenario.max_time then Report.Max_time_reached
         else begin
-          if handle_event ~now:time (Event_queue.take queue) then
-            last_event_time := time;
+          if handle_event ~now:time ev then last_event_time := time;
           loop ()
         end
     in

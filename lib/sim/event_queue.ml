@@ -26,7 +26,12 @@
    push order, whichever tier an event passes through.
 
    A payload is written once into its slot by [add] and read once by
-   [take]. Free slots are chained through [next] from [free]. *)
+   [take], which resets the slot to the caller's [vacant] value. The
+   payload array is a plain ['a array] filled with [vacant], never an
+   [Obj.magic] filler: with float payloads the runtime makes it a flat
+   float array, and a filler that is not a float would break code that
+   cross-module inlining specialises to floats. Free slots are chained
+   through [next] from [free]. *)
 
 let seq_bits = 56
 let max_klass = 63
@@ -43,9 +48,10 @@ let bucket_mask = window - 1
 let ring_threshold = 128
 
 type 'a t = {
-  mutable payloads : 'a option array;
-      (* slot -> payload; [None] once taken, so a free slot never pins a
-         popped payload however long the queue lives *)
+  mutable payloads : 'a array;
+      (* slot -> payload; [vacant] once taken, so a free slot never pins
+         a popped payload however long the queue lives *)
+  vacant : 'a;
   mutable tags : int array;  (* slot -> tag *)
   mutable keys : int array;  (* slot -> klass lsl seq_bits lor seq *)
   mutable next : int array;
@@ -65,6 +71,10 @@ type 'a t = {
   mutable cursor : int;
   mutable in_ring : int;
   mutable base : int;
+  (* the event the last [take] removed *)
+  mutable taken_time : int;
+  mutable taken_key : int;
+  mutable taken_tag : int;
 }
 
 (* An engine queue drains between instants and refills at the next one;
@@ -74,9 +84,10 @@ type 'a t = {
    shrinks the arrays back to this many slots. *)
 let max_retained = 256
 
-let create () =
+let create ~vacant =
   {
     payloads = [||];
+    vacant;
     tags = [||];
     keys = [||];
     next = [||];
@@ -92,6 +103,9 @@ let create () =
     cursor = 0;
     in_ring = 0;
     base = 0;
+    taken_time = 0;
+    taken_key = 0;
+    taken_tag = 0;
   }
 
 (* Chain slots [lo..hi-1] into the free list. *)
@@ -111,7 +125,7 @@ let grow t =
     Array.blit a 0 b 0 old;
     b
   in
-  t.payloads <- extend t.payloads None;
+  t.payloads <- extend t.payloads t.vacant;
   t.tags <- extend t.tags 0;
   t.keys <- extend t.keys 0;
   t.next <- extend t.next 0;
@@ -123,7 +137,7 @@ let grow t =
 (* Cut an empty queue back to the retention bound, ring included. *)
 let shrink t =
   let ints () = Array.make max_retained 0 in
-  t.payloads <- Array.make max_retained None;
+  t.payloads <- Array.make max_retained t.vacant;
   t.tags <- ints ();
   t.keys <- ints ();
   t.next <- ints ();
@@ -296,7 +310,7 @@ let add_tagged t ~time ~klass ~tag payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let key = (klass lsl seq_bits) lor seq in
-  t.payloads.(slot) <- Some payload;
+  t.payloads.(slot) <- payload;
   t.tags.(slot) <- tag;
   t.keys.(slot) <- key;
   t.len <- t.len + 1;
@@ -313,35 +327,16 @@ let is_empty t = t.len = 0
 let size t = t.len
 let capacity t = Array.length t.payloads
 
-let check_nonempty t what =
-  if t.len = 0 then invalid_arg ("Event_queue." ^ what ^ ": empty queue")
-
-let[@inline] min_slot t =
-  if ring_min t then t.heads.(t.cursor land bucket_mask) else t.hslots.(0)
-
-let min_time t =
-  check_nonempty t "min_time";
-  if ring_min t then t.cursor else t.times.(0)
-
-let min_klass t =
-  check_nonempty t "min_klass";
-  t.keys.(min_slot t) lsr seq_bits
-
-let min_tag t =
-  check_nonempty t "min_tag";
-  t.tags.(min_slot t)
-
 let take t =
-  check_nonempty t "take";
+  if t.len = 0 then invalid_arg "Event_queue.take: empty queue";
   let from_ring = ring_min t in
   let time = if from_ring then t.cursor else t.times.(0) in
   let slot = if from_ring then ring_take t else heap_take t in
-  let payload =
-    match t.payloads.(slot) with
-    | Some p -> p
-    | None -> assert false (* live slots always carry their payload *)
-  in
-  t.payloads.(slot) <- None;
+  let payload = t.payloads.(slot) in
+  t.payloads.(slot) <- t.vacant;
+  t.taken_time <- time;
+  t.taken_key <- t.keys.(slot);
+  t.taken_tag <- t.tags.(slot);
   t.next.(slot) <- t.free;
   t.free <- slot;
   t.len <- t.len - 1;
@@ -353,10 +348,12 @@ let take t =
   if t.len = 0 && Array.length t.payloads > max_retained then shrink t;
   payload
 
+let taken_time t = t.taken_time
+let taken_klass t = t.taken_key lsr seq_bits
+let taken_tag t = t.taken_tag
+
 let pop t =
   if t.len = 0 then None
   else
-    let time = min_time t and klass = min_klass t in
-    Some (time, klass, take t)
-
-let peek_time t = if t.len = 0 then None else Some (min_time t)
+    let payload = take t in
+    Some (t.taken_time, taken_klass t, payload)

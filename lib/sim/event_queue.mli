@@ -30,47 +30,50 @@
 
     Both tiers hold ints only: event times, packed keys and the indices
     of payload slots. A payload is written once into its slot by {!add}
-    and read once by {!take}. Each event also carries an integer tag
-    (the multi-shot service stores the owning instance there, see
-    {!Mux}); the [min_*] readers and {!take} look at the minimum without
-    allocating. *)
+    and read once by {!take}, which puts the caller's [vacant] value back
+    in the slot, so the queue allocates nothing per event. Each event
+    also carries an integer tag (the multi-shot service stores the
+    owning instance's tag there); {!take} leaves the taken event's time,
+    class and tag in the queue for the [taken_*] readers. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : vacant:'a -> 'a t
+(** An empty queue whose free payload slots hold [vacant], so a taken
+    payload is never pinned. An immediate [vacant] (a constant
+    constructor) makes clearing a slot cheapest. *)
 
 val add_tagged : 'a t -> time:Sim_time.t -> klass:int -> tag:int -> 'a -> unit
-(** Enqueue an event carrying [tag]. Allocates the payload's option cell
-    only.
+(** Enqueue an event carrying [tag]. Allocates nothing once the queue
+    has grown to its working size.
     @raise Invalid_argument if [time < 0], [klass < 0] or [klass > 63]. *)
 
 val add : 'a t -> time:Sim_time.t -> klass:int -> 'a -> unit
 (** [add_tagged] with tag 0. *)
 
-val min_time : 'a t -> Sim_time.t
-val min_klass : 'a t -> int
-
-val min_tag : 'a t -> int
-(** The time, class and tag of the minimum event.
-    @raise Invalid_argument when the queue is empty. *)
-
 val take : 'a t -> 'a
-(** Remove the minimum event and return its payload. Its slot is cleared,
-    so the queue never pins a payload it has handed out.
+(** Remove the minimum event and return its payload; its time, class and
+    tag become the [taken_*] readings. Its slot is reset to [vacant].
     @raise Invalid_argument when the queue is empty. *)
+
+val taken_time : 'a t -> Sim_time.t
+val taken_klass : 'a t -> int
+
+val taken_tag : 'a t -> int
+(** The time, class and tag of the event the last {!take} removed (0
+    before the first). *)
 
 val pop : 'a t -> (Sim_time.t * int * 'a) option
 (** Remove and return the minimum event as [(time, klass, payload)], or
-    [None] when empty. Allocates the result; the simulation loops use the
-    [min_*] readers and {!take} instead. *)
+    [None] when empty. Allocates the result; the simulation loops use
+    {!take} instead. *)
 
-val peek_time : 'a t -> Sim_time.t option
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val capacity : 'a t -> int
 (** Number of backing slots currently allocated. Draining the queue keeps
-    a bounded capacity (taken slots are cleared in place, never pinning
+    a bounded capacity (taken slots are reset in place, never pinning
     their payloads), so an engine queue that empties between instants
     does not re-grow from scratch on every refill; a drain after an
     unusually large burst shrinks back to the retention bound. Exposed

@@ -7,8 +7,8 @@
     instances through a single simulator run}: every instance is a
     {!Machine} automaton of the selected protocol (INBAC / Paxos Commit /
     2PC / any {!Registry} entry), and all instances' proposals,
-    deliveries and timeouts multiplex over one instance-tagged event
-    queue ({!Mux}), one network model and one simulated clock.
+    deliveries and timeouts multiplex over one {!Event_queue}, tagged
+    with their instance, one network model and one simulated clock.
 
     The workload is closed-loop: [clients] simulated clients each submit
     a transaction, wait for its decision, think, and submit the next.
@@ -19,9 +19,11 @@
     instance decides.
 
     This module is the instance lifecycle: it stages and launches the
-    batches that {!Svc_admission} lets through, each instance's machine
-    running under a fresh {!Mux} tag; it parks, re-elects, adopts and
-    retires them; and it reports every step to {!Svc_history}.
+    batches that {!Svc_admission} lets through, each drive of an
+    instance's machine under a fresh tag, so events of an earlier drive
+    miss it; it counts each instance's queued events, finalizes one whose
+    count drops to zero, parks, re-elects, adopts and retires them; and
+    it reports every step to {!Svc_history}.
 
     - {b Blocking and recovery}: an instance that quiesces with no
       decision (2PC whose coordinator shard is down) {e parks} — its
@@ -43,7 +45,7 @@
     - {b Recycling}: the footprint is the {e live} state, not the
       history. A retired instance's record keeps its machine, which resets
       in place ({!Machine.reset}) for the next launch and for every
-      re-drive, and Mux slots recycle ({!Mux.retire}), so one run can push
+      re-drive, and with it the slot its tags name, so one run can push
       millions of transactions in bounded memory. *)
 
 type spec = {
