@@ -53,8 +53,10 @@ type waiter = {
   w_client : int;
   w_submitted : Sim_time.t;
   w_keys : int array;
-      (** every key, in name order ("k10" < "k9"): a waiter queues on the
-          first held key in this order *)
+      (** every key, sorted into name order ("k10" < "k9") the first time
+          one of them is held: a waiter queues on the first held key in
+          this order *)
+  mutable w_sorted : bool;  (** [w_keys] is in name order *)
   w_reads : int array;
   w_read_vers : int array;  (** [w_reads]' versions at submit *)
   w_writes : int array;

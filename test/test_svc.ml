@@ -837,12 +837,12 @@ type stub = {
   launched : (int * int list) list ref;  (* holder, member ids *)
 }
 
-let admission ?(max_batch = 8) () =
-  let ks = Keyspace.create ~n:1 ~keys:8 in
+let admission ?(max_batch = 8) ?(keys = 8) () =
+  let ks = Keyspace.create ~n:1 ~keys in
   let hist = Svc_history.create ~txns:64 ~clients:64 ~flush_every:0 () in
   let armed = ref [] and launched = ref [] in
   let adm =
-    Svc_admission.create ~ks ~hist ~keys:8 ~max_batch ~batch_window:(u / 2)
+    Svc_admission.create ~ks ~hist ~keys ~max_batch ~batch_window:(u / 2)
       ~wait_budget:64 ~pipeline_depth:64
       ~launch:(fun _ h members ->
         launched :=
@@ -852,15 +852,15 @@ let admission ?(max_batch = 8) () =
   in
   { ks; hist; adm; armed; launched }
 
-(* transaction [id] reading [reads] at their current versions *)
+(* transaction [id] reading [reads] at their current versions, its keys
+   in draw order as the service draws them *)
 let txn st ~id ?(reads = [||]) writes =
-  let keys = Array.append reads writes in
-  Keyspace.sort_names keys;
   {
     Svc_admission.w_id = id;
     w_client = id;
     w_submitted = 0;
-    w_keys = keys;
+    w_keys = Array.append reads writes;
+    w_sorted = false;
     w_reads = reads;
     w_read_vers = Array.map (Keyspace.version st.ks) reads;
     w_writes = writes;
@@ -988,6 +988,26 @@ let test_admission_emptied_batch () =
   check ids "q and a2 share the next instance" [ 2; 4 ]
     (snd (List.hd !(st.launched)))
 
+(* Keys drawn as 9, 10, both held by launched instances: the waiter
+   queues on the holder of k10, which sorts first by name. *)
+let test_admission_name_order () =
+  let st = admission ~keys:16 () in
+  let w9 = txn st ~id:0 [| 9 |] and w10 = txn st ~id:1 [| 10 |] in
+  submit st [ w9 ];
+  launch st (last_armed st);
+  let h9 = last_holder st in
+  submit st [ w10 ];
+  launch st (last_armed st);
+  let h10 = last_holder st in
+  let w = txn st ~id:2 [| 9; 10 |] in
+  submit st [ w ];
+  check counts "it waits" (1, 0, 0) (counters st);
+  resolve st h9 [ w9 ];
+  check ids "the holder of k9 resolving leaves it queued" [ 0 ] (waits [ w ]);
+  resolve st h10 [ w10 ];
+  check ids "the holder of k10 wakes it" [ 1 ] (waits [ w ]);
+  check counts "and it queues no more" (1, 0, 0) (counters st)
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -1041,6 +1061,8 @@ let () =
             test_admission_stale_locks_nothing;
           quick "an emptied batch re-admits each waiter once"
             test_admission_emptied_batch;
+          quick "a waiter queues on its first held key by name"
+            test_admission_name_order;
         ] );
       ( "history",
         [
