@@ -111,7 +111,7 @@ let reserve_counts h k =
   let base = h.ctop in
   let top = base + k in
   if top > Array.length h.counts then begin
-    let a = Array.make (max top (2 * Array.length h.counts)) 0 in
+    let a = Array.make (Int.max top (2 * Array.length h.counts)) 0 in
     Array.blit h.counts 0 a 0 base;
     h.counts <- a
   end;

@@ -440,8 +440,8 @@ module Make (Cfg : CONFIG) = struct
     in
     Symmetry.of_classes ~n
       [
-        List.init (max 0 (min low n)) (fun i -> i);
-        List.init (max 0 (n - f - 1)) (fun i -> i + f + 1);
+        List.init (Int.max 0 (Int.min low n)) (fun i -> i);
+        List.init (Int.max 0 (n - f - 1)) (fun i -> i + f + 1);
       ]
 end
 

@@ -106,7 +106,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let create ?(record_trace = true) ?(renamings = [||]) ~env_of ~n ~u ~sink
       () =
     let envs = Array.init n (fun i -> env_of (Pid.of_index i)) in
-    let cols = max 1 (Array.length renamings) in
+    let cols = Int.max 1 (Array.length renamings) in
     {
       envs;
       u;

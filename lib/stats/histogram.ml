@@ -19,7 +19,7 @@ type streaming = {
 type t = Exact of exact | Streaming of streaming
 
 let create ?(capacity = 1024) () =
-  Exact { data = Array.make (max 1 capacity) 0.0; len = 0 }
+  Exact { data = Array.make (Int.max 1 capacity) 0.0; len = 0 }
 
 let streaming ~bins ~max =
   if bins < 1 then invalid_arg "Histogram.streaming: bins < 1";
@@ -47,7 +47,7 @@ let add t x =
       let bins = Array.length s.counts - 1 in
       let i =
         if x <= 0.0 then 0
-        else Stdlib.min bins (int_of_float (x /. s.width))
+        else Int.min bins (int_of_float (x /. s.width))
       in
       s.counts.(i) <- s.counts.(i) + 1;
       s.n <- s.n + 1;
@@ -165,7 +165,7 @@ let select (a : float array) lo k =
    it *)
 let rank_index n q =
   let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-  Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1))
+  Int.max 0 (Int.min (n - 1) (rank - 1))
 
 let percentile_of_exact e q =
   if e.len = 0 then Float.nan
@@ -184,7 +184,7 @@ let percentile_of_bins s q =
   if s.n = 0 then Float.nan
   else begin
     let rank =
-      Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int s.n)))
+      Int.max 1 (int_of_float (Float.ceil (q *. float_of_int s.n)))
     in
     let bins = Array.length s.counts - 1 in
     let i = ref 0 and cum = ref s.counts.(0) in

@@ -74,7 +74,7 @@ let create ?observe ~txns ~clients ~flush_every () =
     requeued = 0; queued = 0; waiting = 0; instances = 0; members = 0;
     in_flight = 0; peak_in_flight = 0; retries = 0; elections = 0; stolen = 0;
     messages = 0; latency = hist 512.0; time_parked = hist 8192.0;
-    queue_depth = hist (float_of_int (max 16 clients));
+    queue_depth = hist (float_of_int (Int.max 16 clients));
     agreement_ok = true; atomicity_ok = true }
 
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
@@ -90,7 +90,7 @@ let progress t now =
     (ratio t.committed t.issued)
     t.waiting t.in_flight (Sim_time.delays ~u now)
     (if wall > 0.0 then float_of_int t.committed /. wall else 0.0)
-    (words /. float_of_int (max 1 t.issued))
+    (words /. float_of_int (Int.max 1 t.issued))
 
 let issued t = t.issued
 
