@@ -37,7 +37,7 @@ let int_in t ~lo ~hi =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let float t =
+let[@inline] float t =
   let v = Int64.shift_right_logical (next t) 11 in
   Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
 

@@ -53,6 +53,7 @@ type 'a t = {
          a popped payload however long the queue lives *)
   vacant : 'a;
   mutable tags : int array;  (* slot -> tag *)
+  mutable args : int array;  (* slot -> arg *)
   mutable keys : int array;  (* slot -> klass lsl seq_bits lor seq *)
   mutable next : int array;
       (* slot -> next slot of its bucket, or of the free list; -1 ends *)
@@ -75,6 +76,7 @@ type 'a t = {
   mutable taken_time : int;
   mutable taken_key : int;
   mutable taken_tag : int;
+  mutable taken_arg : int;
 }
 
 (* An engine queue drains between instants and refills at the next one;
@@ -89,6 +91,7 @@ let create ~vacant =
     payloads = [||];
     vacant;
     tags = [||];
+    args = [||];
     keys = [||];
     next = [||];
     free = -1;
@@ -106,6 +109,7 @@ let create ~vacant =
     taken_time = 0;
     taken_key = 0;
     taken_tag = 0;
+    taken_arg = 0;
   }
 
 (* Chain slots [lo..hi-1] into the free list. *)
@@ -127,6 +131,7 @@ let grow t =
   in
   t.payloads <- extend t.payloads t.vacant;
   t.tags <- extend t.tags 0;
+  t.args <- extend t.args 0;
   t.keys <- extend t.keys 0;
   t.next <- extend t.next 0;
   t.times <- extend t.times 0;
@@ -139,6 +144,7 @@ let shrink t =
   let ints () = Array.make max_retained 0 in
   t.payloads <- Array.make max_retained t.vacant;
   t.tags <- ints ();
+  t.args <- ints ();
   t.keys <- ints ();
   t.next <- ints ();
   t.times <- ints ();
@@ -300,7 +306,7 @@ let[@inline] ring_min t =
 
 (* ---- queue ---- *)
 
-let add_tagged t ~time ~klass ~tag payload =
+let add_tagged t ~time ~klass ~tag ~arg payload =
   if time < 0 then invalid_arg "Event_queue.add: negative time";
   if klass < 0 then invalid_arg "Event_queue.add: negative class";
   if klass > max_klass then invalid_arg "Event_queue.add: class above 63";
@@ -312,6 +318,7 @@ let add_tagged t ~time ~klass ~tag payload =
   let key = (klass lsl seq_bits) lor seq in
   t.payloads.(slot) <- payload;
   t.tags.(slot) <- tag;
+  t.args.(slot) <- arg;
   t.keys.(slot) <- key;
   t.len <- t.len + 1;
   if ring_on t then
@@ -322,7 +329,7 @@ let add_tagged t ~time ~klass ~tag payload =
     if t.len >= ring_threshold then start_ring t
   end
 
-let add t ~time ~klass payload = add_tagged t ~time ~klass ~tag:0 payload
+let add t ~time ~klass payload = add_tagged t ~time ~klass ~tag:0 ~arg:0 payload
 let is_empty t = t.len = 0
 let size t = t.len
 let capacity t = Array.length t.payloads
@@ -337,6 +344,7 @@ let take t =
   t.taken_time <- time;
   t.taken_key <- t.keys.(slot);
   t.taken_tag <- t.tags.(slot);
+  t.taken_arg <- t.args.(slot);
   t.next.(slot) <- t.free;
   t.free <- slot;
   t.len <- t.len - 1;
@@ -351,6 +359,7 @@ let take t =
 let taken_time t = t.taken_time
 let taken_klass t = t.taken_key lsr seq_bits
 let taken_tag t = t.taken_tag
+let taken_arg t = t.taken_arg
 
 let pop t =
   if t.len = 0 then None

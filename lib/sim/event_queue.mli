@@ -32,9 +32,12 @@
     of payload slots. A payload is written once into its slot by {!add}
     and read once by {!take}, which puts the caller's [vacant] value back
     in the slot, so the queue allocates nothing per event. Each event
-    also carries an integer tag (the multi-shot service stores the
-    owning instance's tag there); {!take} leaves the taken event's time,
-    class and tag in the queue for the [taken_*] readers. *)
+    also carries two integers in its slot, a tag and an argument (the
+    multi-shot service stores the owning instance's tag in the first and
+    packs the event's pids, timer epoch or send instant into the second,
+    so its payloads need no record); {!take} leaves the taken event's
+    time, class, tag and argument in the queue for the [taken_*]
+    readers. *)
 
 type 'a t
 
@@ -43,25 +46,27 @@ val create : vacant:'a -> 'a t
     payload is never pinned. An immediate [vacant] (a constant
     constructor) makes clearing a slot cheapest. *)
 
-val add_tagged : 'a t -> time:Sim_time.t -> klass:int -> tag:int -> 'a -> unit
-(** Enqueue an event carrying [tag]. Allocates nothing once the queue
-    has grown to its working size.
+val add_tagged :
+  'a t -> time:Sim_time.t -> klass:int -> tag:int -> arg:int -> 'a -> unit
+(** Enqueue an event carrying [tag] and [arg]. Allocates nothing once the
+    queue has grown to its working size.
     @raise Invalid_argument if [time < 0], [klass < 0] or [klass > 63]. *)
 
 val add : 'a t -> time:Sim_time.t -> klass:int -> 'a -> unit
-(** [add_tagged] with tag 0. *)
+(** [add_tagged] with tag and argument 0. *)
 
 val take : 'a t -> 'a
 (** Remove the minimum event and return its payload; its time, class and
-    tag become the [taken_*] readings. Its slot is reset to [vacant].
+    tag and argument become the [taken_*] readings. Its slot is reset to [vacant].
     @raise Invalid_argument when the queue is empty. *)
 
 val taken_time : 'a t -> Sim_time.t
 val taken_klass : 'a t -> int
 
 val taken_tag : 'a t -> int
-(** The time, class and tag of the event the last {!take} removed (0
-    before the first). *)
+val taken_arg : 'a t -> int
+(** The time, class, tag and argument of the event the last {!take}
+    removed (0 before the first). *)
 
 val pop : 'a t -> (Sim_time.t * int * 'a) option
 (** Remove and return the minimum event as [(time, klass, payload)], or

@@ -33,7 +33,8 @@ let streaming ~bins ~max =
       vmax = Float.neg_infinity;
     }
 
-let add t x =
+(* inlined, so a caller's float reaches the buffer or the bin unboxed *)
+let[@inline] add t x =
   match t with
   | Exact e ->
       if e.len = Array.length e.data then begin

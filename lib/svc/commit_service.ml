@@ -57,6 +57,47 @@ let u = Sim_time.default_u
 let slot_bits = 20
 let slot_mask = (1 lsl slot_bits) - 1
 
+(* An event's int argument packs what a record would carry, within these
+   bounds (OCaml ints have 62 bits for non-negative values):
+   - a pid index takes [pid_bits] = 10 bits, so n <= [max_n] = 1024;
+   - a delivery packs its send instant above its source and destination
+     pids, in the 42 bits left. A send happens while an event at or
+     before [max_time] is handled, so [max_time <= max_send_instant]
+     (2^42 - 1 ticks, about 4.4e9 delays) bounds every send instant;
+   - a timeout packs its cancellation epoch above its layer bit and its
+     pid, in the 51 bits left. An epoch counts one process's
+     cancellations of one timer within one drive, and the sink refuses
+     one past [max_epoch] (2^51 - 1) rather than wrap it.
+   [run] checks n and [max_time]. *)
+let pid_bits = 10
+let max_n = 1 lsl pid_bits
+let pid_mask = max_n - 1
+let max_send_instant = (1 lsl (62 - (2 * pid_bits))) - 1
+let max_epoch = (1 lsl (62 - pid_bits - 1)) - 1
+
+let[@inline] pack_delivery ~src ~dst ~sent_at =
+  (((sent_at lsl pid_bits) lor Pid.index src) lsl pid_bits) lor Pid.index dst
+
+let[@inline] pack_timer ~pid ~layer ~epoch =
+  let layer_bit =
+    match layer with Trace.Commit_layer -> 0 | Trace.Consensus_layer -> 1
+  in
+  (((epoch lsl 1) lor layer_bit) lsl pid_bits) lor Pid.index pid
+
+let[@inline] packed_pid arg = Pid.of_index (arg land pid_mask)
+let[@inline] packed_src arg = Pid.of_index ((arg lsr pid_bits) land pid_mask)
+let[@inline] packed_sent_at arg = arg lsr (2 * pid_bits)
+
+let[@inline] packed_layer arg =
+  if (arg lsr pid_bits) land 1 = 0 then Trace.Commit_layer
+  else Trace.Consensus_layer
+
+let[@inline] packed_epoch arg = arg lsr (pid_bits + 1)
+
+(* an instance's outcome, shared by every instance that reaches it *)
+let some_commit = Some Vote.Commit
+let some_abort = Some Vote.Abort
+
 module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   module M = Machine.Make (P) (C)
 
@@ -71,9 +112,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     mutable pending : int;  (* events queued under [tag] *)
     mutable hid : int;  (* the holder id admission launched it under *)
     mutable i_id : int;  (* launch order *)
-    mutable i_members : Svc_admission.waiter list;  (* oldest first *)
+    mutable i_members : Svc_admission.waiter array;
+        (* the holder's, oldest first: the first [i_count] *)
+    mutable i_count : int;
     votes : Vote.t array;
     machine : M.t;
+    mutable sink : M.sink;  (* built once, for the record's life *)
+    mutable started : Sim_time.t;  (* the current drive's start *)
     mutable outcome : Vote.decision option;  (* None while running/parked *)
     mutable quiesced : bool;
     resolved : bool array;  (* per shard: staged writes applied/discarded *)
@@ -82,19 +127,19 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   (* The service's events and, tagged with their instance, one commit
-     instance's events (mirroring the engine's event type), in one flat
-     type: an instance event is a single block. *)
+     instance's events (mirroring the engine's event type). An event's
+     ints travel in its queue slot, as its argument ([arg]), so only a
+     delivery's message and a timeout's timer id need a block. *)
   type sev =
-    | Submit of int  (* client id *)
-    | Launch_batch of Svc_admission.batch  (* batch-window expiry *)
-    | Outage of Pid.t
-    | Recover of Pid.t
+    | Submit  (* arg: the client *)
+    | Launch_batch  (* batch-window expiry; tag: the serial, arg: the holder *)
+    | Outage  (* arg: the shard's index *)
+    | Recover  (* arg: the shard's index *)
     | Elect  (* election timer of the instance the event is tagged with *)
-    | Propose of Pid.t
-    | Deliver of {
-        src : Pid.t; dst : Pid.t; payload : M.wire; sent_at : Sim_time.t }
-    | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
-    | Crash of Pid.t
+    | Propose  (* arg: the shard's index *)
+    | Deliver of M.wire  (* arg: [pack_delivery] *)
+    | Timeout of string  (* the timer's id; arg: [pack_timer] *)
+    | Crash  (* arg: the shard's index *)
 
   type t = {
     spec : spec;
@@ -107,6 +152,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     hist : Svc_history.t;
     down : bool array;
     scratch : int array;  (* the key indices of the transaction being drawn *)
+    owner_scratch : int array;  (* the owner shards of its writes *)
     mutable slots : inst array;
         (* every record by its slot; past [nslots], filler no tag names *)
     mutable nslots : int;
@@ -115,17 +161,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   (* Enqueue an event of [inst]'s current drive. *)
-  let add_event t inst ~time ~klass ev =
+  let add_event t inst ~time ~klass ~arg ev =
     inst.pending <- inst.pending + 1;
-    Event_queue.add_tagged t.q ~time ~klass ~tag:inst.tag ev
+    Event_queue.add_tagged t.q ~time ~klass ~tag:inst.tag ~arg ev
 
   (* The instance-tagged sink: one network, one clock, one rng across
      all instances. Protocols express "set timer to time k" as an
      absolute instant ([At_delay k] = k * U), written against a run
      that starts at time zero — re-anchor those to the instance's own
      start so instance k+1's automata are oblivious to the service
-     clock. [After] timers are already relative. *)
-  let sink t inst started =
+     clock. [After] timers are already relative. Built once per record,
+     it reads the current drive's start from the record. *)
+  let sink t inst =
     {
       M.send =
         (fun ~now ~src ~dst payload ->
@@ -138,7 +185,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                    ~layer:(M.layer_of_wire payload) ~sent_at:now ~seq)
           in
           add_event t inst ~time:at ~klass:deliver_class
-            (Deliver { src; dst; payload; sent_at = now });
+            ~arg:(pack_delivery ~src ~dst ~sent_at:now) (Deliver payload);
           at);
       M.set_timer =
         (fun ~now ~pid ~layer ~id ~fire ~at ~epoch ->
@@ -146,11 +193,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             match fire with
             | Proto.At_delay k ->
                 Sim_time.max now
-                  (Sim_time.( + ) started (Sim_time.of_delays ~u k))
+                  (Sim_time.( + ) inst.started (Sim_time.of_delays ~u k))
             | Proto.After _ -> at
           in
+          if epoch > max_epoch then
+            failwith "Commit_service: timer epoch past 2^51";
           add_event t inst ~time:at ~klass:timeout_class
-            (Timeout { pid; layer; id; epoch }));
+            ~arg:(pack_timer ~pid ~layer ~epoch) (Timeout id));
     }
 
   (* a blank record's machine, until [drive] resets it under [sink] *)
@@ -170,20 +219,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* an instance's first events: the down shards crash, unless [replay],
      and every shard proposes its vote *)
   let schedule_instance_events t inst now ~replay =
-    Array.iteri
-      (fun i is_down ->
-        if is_down && not replay then
-          add_event t inst ~time:now ~klass:crash_class (Crash (Pid.of_index i)))
-      t.down;
+    if not replay then
+      for i = 0 to t.n - 1 do
+        if t.down.(i) then
+          add_event t inst ~time:now ~klass:crash_class ~arg:i Crash
+      done;
     for i = 0 to t.n - 1 do
-      add_event t inst ~time:now ~klass:service_class (Propose (Pid.of_index i))
+      add_event t inst ~time:now ~klass:service_class ~arg:i Propose
     done
 
   let resubmit t now client =
     let think = 1 + Rng.int t.rng ~bound:(Int.max 1 t.spec.think_gap) in
-    Event_queue.add t.q
+    Event_queue.add_tagged t.q
       ~time:(Sim_time.( + ) now think)
-      ~klass:service_class (Submit client)
+      ~klass:service_class ~tag:0 ~arg:client Submit
 
   (* Give [inst] a fresh tag with no event under it and restart its
      machine: at launch and at every re-drive. *)
@@ -191,7 +240,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     t.drives <- t.drives + 1;
     inst.tag <- (t.drives lsl slot_bits) lor inst.slot;
     inst.pending <- 0;
-    M.reset inst.machine ~sink:(sink t inst now);
+    inst.started <- now;
+    M.reset inst.machine ~sink:inst.sink;
     inst.quiesced <- false;
     Svc_history.driven t.hist
 
@@ -200,13 +250,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let slot = t.nslots in
     if slot > slot_mask then failwith "Commit_service: instance slots exhausted";
     let inst =
-      { slot; tag = -1; pending = 0; hid; i_id = 0; i_members = [];
-        outcome = None; votes = Array.make t.n Vote.no; quiesced = false;
+      { slot; tag = -1; pending = 0; hid; i_id = 0; i_members = [||];
+        i_count = 0; outcome = None; votes = Array.make t.n Vote.no;
+        quiesced = false;
         machine =
           M.create ~record_trace:false ~env_of:t.env_of ~n:t.n ~u
             ~sink:idle_sink ();
-        resolved = Array.make t.n false; elected = false; parked_at = None }
+        sink = idle_sink; started = 0; resolved = Array.make t.n false;
+        elected = false; parked_at = None }
     in
+    inst.sink <- sink t inst;
     if slot = Array.length t.slots then
       t.slots <- Array.append t.slots (Array.make (Int.max 16 slot) inst);
     t.slots.(slot) <- inst;
@@ -215,15 +268,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* Admission's launch under holder [hid]: stage the members' writes,
      take a record, vote and drive. *)
-  let launch t now hid (members : Svc_admission.waiter list) =
+  let launch t now hid (members : Svc_admission.waiter array) count =
     (* write-ahead: every owner stages its legs before voting *)
-    List.iter
-      (fun (w : Svc_admission.waiter) ->
-        Array.iter
-          (fun shard ->
-            Keyspace.stage t.ks ~shard ~txn:w.w_id ~writes:w.w_writes)
-          (Svc_admission.shards w.w_owners))
-      members;
+    for m = 0 to count - 1 do
+      let w = members.(m) in
+      let shards = Svc_admission.shards w.w_owners in
+      for s = 0 to Array.length shards - 1 do
+        Keyspace.stage t.ks ~shard:shards.(s) ~txn:w.w_id w.w_keys
+          ~writes:w.w_writes
+      done
+    done;
     let inst =
       match t.pool with
       | inst :: rest ->
@@ -232,8 +286,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       | [] -> new_inst t hid
     in
     inst.hid <- hid;
-    inst.i_id <- Svc_history.launched t.hist ~members:(List.length members);
+    inst.i_id <- Svc_history.launched t.hist ~members:count;
     inst.i_members <- members;
+    inst.i_count <- count;
     inst.outcome <- None;
     Array.fill inst.resolved 0 t.n false;
     inst.elected <- false;
@@ -242,14 +297,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        stale members, so a no vote shows a launch filter that let one
        through *)
     Array.fill inst.votes 0 t.n Vote.yes;
-    List.iter
-      (fun (w : Svc_admission.waiter) ->
-        Array.iteri
-          (fun j k ->
-            if Keyspace.version t.ks k <> w.w_read_vers.(j) then
-              inst.votes.(Keyspace.owner t.ks k) <- Vote.no)
-          w.w_reads)
-      members;
+    for m = 0 to count - 1 do
+      let w = members.(m) in
+      for j = 0 to w.w_reads - 1 do
+        let k = Svc_admission.read_key w j in
+        if Keyspace.version t.ks k <> Svc_admission.read_version w j then
+          inst.votes.(Keyspace.owner t.ks k) <- Vote.no
+      done
+    done;
     drive t now inst;
     schedule_instance_events t inst now ~replay:false
 
@@ -265,24 +320,24 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* apply or discard the staged writes at one shard and release its
      locks: at the decision if the shard is up, else when it recovers *)
   let resolve_at_shard t adm inst shard =
-    let settle =
-      match inst.outcome with
-      | Some Vote.Commit -> Keyspace.apply
-      | _ -> Keyspace.discard
+    let commit =
+      match inst.outcome with Some Vote.Commit -> true | _ -> false
     in
-    List.iter
-      (fun (w : Svc_admission.waiter) -> settle t.ks ~shard ~txn:w.w_id)
-      inst.i_members;
-    Svc_admission.release adm ~shard inst.i_members;
+    for m = 0 to inst.i_count - 1 do
+      let txn = inst.i_members.(m).w_id in
+      if commit then Keyspace.apply t.ks ~shard ~txn
+      else Keyspace.discard t.ks ~shard ~txn
+    done;
+    Svc_admission.release adm ~shard inst.hid;
     inst.resolved.(shard) <- true
 
   let check_staging t inst =
     let decided = Option.is_some inst.outcome in
-    List.iter
-      (fun (w : Svc_admission.waiter) ->
-        Svc_history.check_staged t.hist t.ks ~decided ~resolved:inst.resolved
-          ~txn:w.w_id (Svc_admission.shards w.w_owners))
-      inst.i_members
+    for m = 0 to inst.i_count - 1 do
+      let w = inst.i_members.(m) in
+      Svc_history.check_staged t.hist t.ks ~decided ~resolved:inst.resolved
+        ~txn:w.w_id (Svc_admission.shards w.w_owners)
+    done
 
   (* An instance whose every shard resolved is pure history: check its
      staging now, then recycle the slot, the holder id and the record. *)
@@ -292,7 +347,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         check_staging t inst;
         Svc_admission.retire adm inst.hid;
         inst.tag <- -1;
-        inst.i_members <- [];
+        inst.i_members <- [||];
+        inst.i_count <- 0;
         t.pool <- inst :: t.pool
     | _ -> ()
 
@@ -313,23 +369,24 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         match t.spec.election_timeout with
         | Some d ->
             add_event t inst ~time:(Sim_time.( + ) now d) ~klass:service_class
-              Elect
+              ~arg:0 Elect
         | None -> ())
     | Some (t0, d0) ->
         let decided_at =
           Svc_history.decided t.hist ~now ~elected:inst.elected
             ~parked_at:inst.parked_at ds t0 d0
         in
-        inst.outcome <- Some d0;
+        inst.outcome <-
+          (match d0 with Vote.Commit -> some_commit | Vote.Abort -> some_abort);
         for shard = 0 to t.n - 1 do
           if not t.down.(shard) then resolve_at_shard t adm inst shard
         done;
-        List.iter
-          (fun (w : Svc_admission.waiter) ->
-            Svc_history.finished t.hist d0 ~decided_at ~txn:w.w_id
-              ~submitted:w.w_submitted;
-            resubmit t now w.w_client)
-          inst.i_members;
+        for m = 0 to inst.i_count - 1 do
+          let w = inst.i_members.(m) in
+          Svc_history.finished t.hist d0 ~decided_at ~txn:w.w_id
+            ~submitted:w.w_submitted;
+          resubmit t now w.w_client
+        done;
         Svc_admission.drain adm now inst.hid;
         maybe_retire t adm inst);
     Svc_admission.launch_ready adm now
@@ -376,41 +433,53 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     done;
     count
 
+  (* The first draws are the reads, the rest the writes; the waiter's one
+     array holds the writes, the reads, then the reads' versions. *)
   let generate t adm now client =
     let id = Svc_history.issue t.hist now in
     let count = pick_distinct t in
     let nreads = Int.min t.spec.reads_per_txn count in
-    let w_reads = Array.sub t.scratch 0 nreads in
-    let w_writes = Array.sub t.scratch nreads (count - nreads) in
+    let nwrites = count - nreads in
+    let scratch = t.scratch in
+    let keys = Array.make (count + nreads) 0 in
+    for j = 0 to nwrites - 1 do
+      keys.(j) <- scratch.(nreads + j)
+    done;
+    for j = 0 to nreads - 1 do
+      let k = scratch.(j) in
+      keys.(nwrites + j) <- k;
+      keys.(count + j) <- Keyspace.version t.ks k
+    done;
+    let owners = Keyspace.owners t.ks keys nwrites t.owner_scratch in
     {
       Svc_admission.w_id = id;
       w_client = client;
       w_submitted = now;
-      w_keys = Array.sub t.scratch 0 count;
-      w_sorted = false;
-      w_reads;
-      w_read_vers = Array.map (Keyspace.version t.ks) w_reads;
-      w_writes;
-      w_owners = Svc_admission.owners adm (Keyspace.owners t.ks w_writes);
+      w_keys = keys;
+      w_writes = nwrites;
+      w_reads = nreads;
+      w_owners = Svc_admission.owners adm t.owner_scratch owners;
       w_waits = 0;
+      w_by_name = [||];
     }
 
-  let handle t adm now instance ev =
+  let handle t adm now tag arg ev =
     match ev with
-    | Submit client ->
+    | Submit ->
         if Svc_history.issued t.hist < t.spec.txns then
-          Svc_admission.submit adm now (generate t adm now client)
-    | Launch_batch b -> Svc_admission.launch_batch adm now b
-    | Outage pid ->
-        t.down.(Pid.index pid) <- true;
+          Svc_admission.submit adm now (generate t adm now arg)
+    | Launch_batch -> Svc_admission.launch_batch adm now arg tag
+    | Outage ->
+        let pid = Pid.of_index arg in
+        t.down.(arg) <- true;
         (* every in-flight instance sees the shard crash *)
         List.iter
           (fun inst ->
             if not (M.is_crashed inst.machine pid) then
-              add_event t inst ~time:now ~klass:crash_class (Crash pid))
+              add_event t inst ~time:now ~klass:crash_class ~arg Crash)
           (live t (fun inst -> not inst.quiesced))
-    | Recover pid ->
-        let shard = Pid.index pid in
+    | Recover ->
+        let shard = arg in
         t.down.(shard) <- false;
         let decided = live t (fun i -> i.quiesced && Option.is_some i.outcome)
         and parked = live t (fun i -> i.quiesced && Option.is_none i.outcome) in
@@ -423,11 +492,11 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             end)
           decided;
         List.iter (redrive t now ~elected:false) parked
-    | Elect | Propose _ | Deliver _ | Timeout _ | Crash _ ->
+    | Elect | Propose | Deliver _ | Timeout _ | Crash ->
         (* an instance event's tag names a slot; under a superseded tag
            the event finds no instance and dies inert *)
-        let inst = t.slots.(instance land slot_mask) in
-        if inst.tag = instance then begin
+        let inst = t.slots.(tag land slot_mask) in
+        if inst.tag = tag then begin
           inst.pending <- inst.pending - 1;
           (match ev with
           | Elect -> (
@@ -437,18 +506,22 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               | None when inst.quiesced && Array.exists not t.down ->
                   redrive t now ~elected:true inst
               | _ -> ())
-          | Propose pid ->
-              M.propose inst.machine ~now pid inst.votes.(Pid.index pid)
-          | Deliver { src; dst; payload; sent_at } ->
-              M.deliver inst.machine ~now ~sent_at ~src ~dst payload
-          | Timeout { pid; layer; id; epoch } ->
-              ignore (M.timeout inst.machine ~now ~pid ~layer ~id ~epoch)
-          | Crash pid ->
+          | Propose ->
+              M.propose inst.machine ~now (Pid.of_index arg) inst.votes.(arg)
+          | Deliver payload ->
+              M.deliver inst.machine ~now ~sent_at:(packed_sent_at arg)
+                ~src:(packed_src arg) ~dst:(packed_pid arg) payload
+          | Timeout id ->
+              ignore
+                (M.timeout inst.machine ~now ~pid:(packed_pid arg)
+                   ~layer:(packed_layer arg) ~id ~epoch:(packed_epoch arg))
+          | Crash ->
+              let pid = Pid.of_index arg in
               if not (M.is_crashed inst.machine pid) then
                 M.crash inst.machine ~now pid
-          | Submit _ | Launch_batch _ | Outage _ | Recover _ -> ());
-          if inst.tag = instance && (not inst.quiesced) && inst.pending = 0
-          then finalize t adm now inst
+          | Submit | Launch_batch | Outage | Recover -> ());
+          if inst.tag = tag && (not inst.quiesced) && inst.pending = 0 then
+            finalize t adm now inst
         end
 
   (* the instant of the last event handled *)
@@ -459,7 +532,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       let time = Event_queue.taken_time t.q in
       if time > t.spec.max_time then last
       else begin
-        handle t adm time (Event_queue.taken_tag t.q) ev;
+        handle t adm time (Event_queue.taken_tag t.q)
+          (Event_queue.taken_arg t.q) ev;
         loop t adm time
       end
 
@@ -476,6 +550,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         down = Array.make n false;
         scratch =
           Array.make (Int.max 1 (spec.reads_per_txn + spec.writes_per_txn)) 0;
+        owner_scratch = Array.make (Int.max 1 spec.writes_per_txn) 0;
         slots = [||]; nslots = 0; pool = []; drives = 0 }
     in
     let adm =
@@ -483,20 +558,25 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         ~max_batch:spec.max_batch ~batch_window:spec.batch_window
         ~wait_budget:spec.wait_budget ~pipeline_depth:spec.pipeline_depth
         ~launch:(launch t) ~resubmit:(resubmit t)
-        ~arm:(fun at b ->
-          Event_queue.add t.q ~time:at ~klass:service_class (Launch_batch b))
+        ~arm:(fun at hid serial ->
+          Event_queue.add_tagged t.q ~time:at ~klass:service_class ~tag:serial
+            ~arg:hid Launch_batch)
     in
     List.iter
       (fun (rank, down_at, back_at) ->
-        let pid = Pid.of_rank rank in
-        Event_queue.add t.q ~time:down_at ~klass:crash_class (Outage pid);
+        let arg = Pid.index (Pid.of_rank rank) in
+        Event_queue.add_tagged t.q ~time:down_at ~klass:crash_class ~tag:0 ~arg
+          Outage;
         match back_at with
-        | Some at -> Event_queue.add t.q ~time:at ~klass:crash_class (Recover pid)
+        | Some at ->
+            Event_queue.add_tagged t.q ~time:at ~klass:crash_class ~tag:0 ~arg
+              Recover
         | None -> ())
       spec.outages;
     for client = 0 to spec.clients - 1 do
       let at = 1 + Rng.int t.rng ~bound:(Int.max 1 spec.think_gap) in
-      Event_queue.add t.q ~time:at ~klass:service_class (Submit client)
+      Event_queue.add_tagged t.q ~time:at ~klass:service_class ~tag:0
+        ~arg:client Submit
     done;
     let makespan = loop t adm Sim_time.zero in
     (* retired instances were checked as they left *)
@@ -515,6 +595,7 @@ let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
     if bad then invalid_arg ("Commit_service.run: " ^ what)
   in
   check (n < 2) "n < 2";
+  check (n > max_n) (Printf.sprintf "n above %d" max_n);
   check (f < 1 || f > n - 1) "bad f";
   check (spec.clients < 1) "no clients";
   check (spec.txns < 0) "txns < 0";
@@ -530,6 +611,10 @@ let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
   check (spec.batch_window < 0) "batch_window < 0";
   check (spec.wait_budget < 0) "wait_budget < 0";
   check (spec.flush_every < 0) "flush_every < 0";
+  check (spec.max_time < 0) "max_time < 0";
+  check
+    (spec.max_time > max_send_instant)
+    (Printf.sprintf "max_time above %d" max_send_instant);
   List.iter
     (fun (rank, down_at, back_at) ->
       check (rank < 1 || rank > n) "outage rank outside 1..n";

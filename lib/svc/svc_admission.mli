@@ -53,43 +53,60 @@ type waiter = {
   w_client : int;
   w_submitted : Sim_time.t;
   w_keys : int array;
-      (** every key, sorted into name order ("k10" < "k9") the first time
-          one of them is held: a waiter queues on the first held key in
-          this order *)
-  mutable w_sorted : bool;  (** [w_keys] is in name order *)
-  w_reads : int array;
-  w_read_vers : int array;  (** [w_reads]' versions at submit *)
-  w_writes : int array;
+      (** in one array: the [w_writes] write keys, then the [w_reads]
+          read keys, then each read key's version at submit *)
+  w_writes : int;
+  w_reads : int;
   w_owners : owner_set;  (** interned by {!owners} *)
   mutable w_waits : int;  (** completed waits so far *)
+  mutable w_by_name : int array;
+      (** every key, sorted into name order ("k10" < "k9") the first time
+          one of them is held, [[||]] until then: a waiter queues on the
+          first held key in this order *)
 }
 
 and owner_set
-type batch
 type t
 
 val create :
   ks:Keyspace.t -> hist:Svc_history.t -> keys:int -> max_batch:int ->
   batch_window:Sim_time.t -> wait_budget:int -> pipeline_depth:int ->
-  launch:(Sim_time.t -> int -> waiter list -> unit) ->
+  launch:(Sim_time.t -> int -> waiter array -> int -> unit) ->
   resubmit:(Sim_time.t -> int -> unit) ->
-  arm:(Sim_time.t -> batch -> unit) -> t
-(** [launch now h members] starts an instance of [members], whose writes
-    are locked under holder [h]; the lifecycle names [h] to {!drain} and
-    {!retire}. [resubmit now client] brings back the client of a
-    transaction that aborted locally. [arm at b] schedules
-    {!launch_batch} of [b] at [at]. *)
+  arm:(Sim_time.t -> int -> int -> unit) -> t
+(** [launch now h members count] starts an instance of
+    [members.(0 .. count-1)] (oldest first), whose writes are locked under
+    holder [h]; the lifecycle names [h] to {!release}, {!drain} and
+    {!retire}, and may read [members] until it retires [h]. [resubmit now
+    client] brings back the client of a transaction that aborted locally.
+    [arm at h serial] schedules {!launch_batch} of [h] and [serial] at
+    [at]. *)
 
-val owners : t -> int array -> owner_set
-(** The interned set of these ascending shard indices. *)
+val read_key : waiter -> int -> int
+(** [read_key w j] is [w]'s [j]-th read key. *)
+
+val read_version : waiter -> int -> int
+(** The version [read_key w j] had at submit. *)
+
+val owners : t -> int array -> int -> owner_set
+(** [owners t shards n] is the interned set of the ascending shard
+    indices [shards.(0 .. n-1)]; [shards] is copied only the first time
+    the set is met. *)
 
 val shards : owner_set -> int array
 val submit : t -> Sim_time.t -> waiter -> unit
-val launch_batch : t -> Sim_time.t -> batch -> unit
+
+val launch_batch : t -> Sim_time.t -> int -> int -> unit
+(** [launch_batch t now h serial] launches holder [h]'s batch if it is
+    still the batch that [arm] was given with [serial] and has not
+    launched: a timer armed for a batch that filled and launched early is
+    inert, even once [h] serves a later batch. *)
+
 val launch_ready : t -> Sim_time.t -> unit
 
-val release : t -> shard:int -> waiter list -> unit
-(** Unlock the members' writes on keys that [shard] owns. *)
+val release : t -> shard:int -> int -> unit
+(** [release t ~shard h] unlocks the writes of [h]'s members on keys that
+    [shard] owns. *)
 
 val drain : t -> Sim_time.t -> int -> unit
 (** The holder decided (the lifecycle calls this at the decision, even

@@ -161,11 +161,11 @@ let finished t d ~decided_at ~txn ~submitted =
   | None -> ()
 
 let check_staged t ks ~decided ~resolved ~txn shards =
-  Array.iter
-    (fun shard ->
-      let expect = (not decided) || not resolved.(shard) in
-      if Keyspace.staged ks ~shard ~txn <> expect then t.atomicity_ok <- false)
-    shards
+  for j = 0 to Array.length shards - 1 do
+    let shard = shards.(j) in
+    let expect = (not decided) || not resolved.(shard) in
+    if Keyspace.staged ks ~shard ~txn <> expect then t.atomicity_ok <- false
+  done
 
 let stats t ~protocol ~zipf_s ~staged_left ~makespan =
   let wall_seconds = Unix.gettimeofday () -. t.wall_start in

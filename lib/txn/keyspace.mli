@@ -10,7 +10,8 @@
     write-ahead table from transaction number to the transaction's write
     keys: {!stage} fills it before the shard votes, {!apply} installs the
     keys the shard owns (bumping their versions) and {!discard} drops the
-    entry. Entries survive a shard outage, which is what lets a recovering
+    entry. The tables are flat (open addressing over int arrays), so none
+    of the three allocates. Entries survive a shard outage, which is what lets a recovering
     shard adopt a decision reached while it was down. *)
 
 val max_keys : int
@@ -28,16 +29,18 @@ val create : n:int -> keys:int -> t
 val owner : t -> int -> int
 (** The index of the shard owning a key. *)
 
-val owners : t -> int array -> int array
-(** The distinct owner shards of the given keys, ascending, in a fresh
-    array. *)
+val owners : t -> int array -> int -> int array -> int
+(** [owners t keys n into] writes the distinct owner shards of
+    [keys.(0 .. n-1)] into [into], ascending, and returns how many there
+    are. [into] must have room for [n]. *)
 
 val version : t -> int -> int
 (** The number of committed transactions that wrote the key. *)
 
-val stage : t -> shard:int -> txn:int -> writes:int array -> unit
-(** Record transaction [txn]'s write keys (all of them; {!apply} picks
-    the shard's own) in [shard]'s write-ahead table, replacing an earlier
+val stage : t -> shard:int -> txn:int -> int array -> writes:int -> unit
+(** [stage t ~shard ~txn keys ~writes] records transaction [txn]'s write
+    keys, the first [writes] of [keys] (all of them; {!apply} picks the
+    shard's own), in [shard]'s write-ahead table, replacing an earlier
     entry of the same transaction. The array is kept, not copied. *)
 
 val staged : t -> shard:int -> txn:int -> bool

@@ -26,15 +26,19 @@ let fnv_step h byte = (h lxor byte) * 0x01000193 land 0x3FFFFFFF
 let hash_key key =
   String.fold_left (fun h c -> fnv_step h (Char.code c)) 0x811c9dc5 key
 
+(* the largest power of ten not above [i] (1 below 10) *)
+let rec top_power i p = if p > i / 10 then p else top_power i (p * 10)
+
+(* [h] fed the decimal digits of [i] from the one worth [p] down *)
+let rec feed_digits i h p =
+  if p = 0 then h
+  else feed_digits i (fnv_step h (Char.code '0' + (i / p mod 10))) (p / 10)
+
 (* [hash_key ("k" ^ string_of_int i)], fed one decimal digit at a time
-   from the most significant, without building the string *)
+   from the most significant, without building the string; the helpers
+   are top-level, so a first placement builds no closure *)
 let hash_index i =
-  let rec top p = if p > i / 10 then p else top (p * 10) in
-  let rec feed h p =
-    if p = 0 then h
-    else feed (fnv_step h (Char.code '0' + (i / p mod 10))) (p / 10)
-  in
-  feed (fnv_step 0x811c9dc5 (Char.code 'k')) (top 1)
+  feed_digits i (fnv_step 0x811c9dc5 (Char.code 'k')) (top_power i 1)
 
 let create ?(consensus = Registry.Paxos) ?(seed = 42) ~n ~f ~protocol () =
   {

@@ -128,7 +128,7 @@ module Zipf = struct
      bucket b = floor(r * nb) is exact (nb is a power of two), so
      b/nb <= r < (b+1)/nb and the rank lies between guide entries b and
      b + 1: a binary search between them. *)
-  let rank t r =
+  let[@inline] rank t r =
     if closed_form t then begin
       let last = t.keys - 1 in
       let guess = int_of_float (Float.ceil (r *. float_of_int t.keys)) - 1 in

@@ -93,13 +93,16 @@ let prop_queue_pop_sorted =
    operations), every class the key can hold, and times drawn from a
    narrow range so that ties on time, and on (time, class), are the rule.
    Each take must return the model's minimum (time, class, insertion
-   order) with its tag. *)
+   order) with its tag and argument, drawn over the whole int range. *)
 let prop_queue_interleaved_model =
   let op =
     QCheck.Gen.(
       frequency
         [
-          (3, map3 (fun t k g -> `Add (t, k, g)) (int_range 0 3) (int_range 0 63) nat);
+          ( 3,
+            map4
+              (fun t k g a -> `Add (t, k, g, a))
+              (int_range 0 3) (int_range 0 63) nat int );
           (2, return `Take);
         ])
   in
@@ -118,19 +121,20 @@ let prop_queue_interleaved_model =
       let take_ok () =
         match !model with
         | [] -> Event_queue.is_empty q
-        | ((time, klass, sq), tag) :: rest ->
+        | ((time, klass, sq), (tag, arg)) :: rest ->
             model := rest;
             Event_queue.take q = sq
             && Event_queue.taken_time q = time
             && Event_queue.taken_klass q = klass
             && Event_queue.taken_tag q = tag
+            && Event_queue.taken_arg q = arg
       in
       let ok =
         List.for_all
           (function
-            | `Add (time, klass, tag) ->
-                Event_queue.add_tagged q ~time ~klass ~tag !seq;
-                model := insert ((time, klass, !seq), tag) !model;
+            | `Add (time, klass, tag, arg) ->
+                Event_queue.add_tagged q ~time ~klass ~tag ~arg !seq;
+                model := insert ((time, klass, !seq), (tag, arg)) !model;
                 incr seq;
                 true
             | `Take -> take_ok ())
@@ -145,7 +149,13 @@ let prop_queue_interleaved_model =
    timer, beyond the 4096-tick window), at the window's edge, anywhere in
    0..2^20, and behind the clock. Each run fills past the ring threshold (128
    events), interleaves adds and takes, drains, and fills past it again,
-   so events move between the tiers as the window slides. *)
+   so events move between the tiers as the window slides, and a drain of
+   a queue grown past 256 slots shrinks it. Every event carries an
+   argument unique to it, spread over the whole int range. *)
+(* an argument for the [seq]-th event: distinct per event, and of every
+   magnitude and sign *)
+let arg_of seq = (seq * 0x9E3779B97F4A7C1) lxor (seq lsl 40)
+
 type ring_op =
   | After of int * int * int  (* (delay past the clock, class, tag) *)
   | At of int * int * int  (* (absolute time, class, tag) *)
@@ -191,7 +201,7 @@ let prop_queue_ring_model =
       let q = Event_queue.create ~vacant:(-1) in
       let model = ref Model.empty and seq = ref 0 and clock = ref 0 in
       let add time klass tag =
-        Event_queue.add_tagged q ~time ~klass ~tag !seq;
+        Event_queue.add_tagged q ~time ~klass ~tag ~arg:(arg_of !seq) !seq;
         model := Model.add (time, klass, !seq, tag) !model;
         incr seq
       in
@@ -206,6 +216,7 @@ let prop_queue_ring_model =
             && Event_queue.taken_time q = time
             && Event_queue.taken_klass q = klass
             && Event_queue.taken_tag q = tag
+            && Event_queue.taken_arg q = arg_of sq
       in
       let rec drain () = Model.is_empty !model || (take_ok () && drain ()) in
       let ok =
@@ -321,13 +332,15 @@ let prop_queue_interleaved =
               || Event_queue.taken_time q <> time
               || Event_queue.taken_klass q <> klass
               || Event_queue.taken_tag q <> tag
+              || Event_queue.taken_arg q <> arg_of (let _, _, s = key in s)
             then ok := false;
             model := List.filter (fun (k, _) -> k <> key) !model
       in
       List.iter
         (function
           | Some (time, klass, tag) ->
-              Event_queue.add_tagged q ~time ~klass ~tag (time, klass, !seq);
+              Event_queue.add_tagged q ~time ~klass ~tag ~arg:(arg_of !seq)
+                (time, klass, !seq);
               model := ((time, klass, !seq), tag) :: !model;
               incr seq
           | None -> pop_checked ())
@@ -912,23 +925,26 @@ let take_tagged q =
 
 let test_queue_taken_fields () =
   let q = Event_queue.create ~vacant:"" in
-  Event_queue.add_tagged q ~tag:1 ~time:5 ~klass:2 "i1-late";
-  Event_queue.add_tagged q ~tag:0 ~time:5 ~klass:1 "i0-propose";
-  Event_queue.add_tagged q ~tag:1 ~time:3 ~klass:2 "i1-early";
-  Event_queue.add_tagged q ~tag:(-1) ~time:5 ~klass:1 "service";
+  Event_queue.add_tagged q ~tag:1 ~arg:max_int ~time:5 ~klass:2 "i1-late";
+  Event_queue.add_tagged q ~tag:0 ~arg:0 ~time:5 ~klass:1 "i0-propose";
+  Event_queue.add_tagged q ~tag:1 ~arg:(1 lsl 42) ~time:3 ~klass:2 "i1-early";
+  Event_queue.add_tagged q ~tag:(-1) ~arg:min_int ~time:5 ~klass:1 "service";
   check tint "size counts every event" 4 (Event_queue.size q);
   check tbool "time order first" true (take_tagged q = (3, 1, "i1-early"));
   check tint "taken class" 2 (Event_queue.taken_klass q);
+  check tint "taken argument" (1 lsl 42) (Event_queue.taken_arg q);
   (* equal time: class order, then insertion order within a class —
      exactly the engine's (time, class, sequence) law *)
   check tbool "class then fifo" true (take_tagged q = (5, 0, "i0-propose"));
   check tint "taken class" 1 (Event_queue.taken_klass q);
   check tbool "negative tag interleaves" true
     (take_tagged q = (5, -1, "service"));
+  check tint "negative argument" min_int (Event_queue.taken_arg q);
   check tbool "last" true (take_tagged q = (5, 1, "i1-late"));
   check tbool "drained" true (Event_queue.is_empty q);
   check tbool "readings outlive the drain" true
-    (Event_queue.taken_time q = 5 && Event_queue.taken_tag q = 1);
+    (Event_queue.taken_time q = 5 && Event_queue.taken_tag q = 1
+    && Event_queue.taken_arg q = max_int);
   Alcotest.check_raises "no minimum when drained"
     (Invalid_argument "Event_queue.take: empty queue") (fun () ->
       ignore (Event_queue.take q))
@@ -948,37 +964,68 @@ let test_queue_float_payloads () =
   check tint "every payload comes back in time order" 0 !wrong;
   check tbool "drained" true (Event_queue.is_empty q)
 
-(* The service's tags put a drive count above 20 slot bits: every tag
-   must come back intact as the queue grows and starts its ring. *)
+(* The service's tags put a drive count above 20 slot bits, and its
+   arguments pack pids and a send instant into 62 bits: every tag and
+   argument must come back intact as the queue grows and starts its ring. *)
 let test_queue_tags_through_growth () =
   let q = Event_queue.create ~vacant:(-1) in
   let tag i = ((i + 1) lsl 20) lor (i land 1023) in
   for i = 0 to 999 do
-    Event_queue.add_tagged q ~tag:(tag i) ~time:(i mod 10) ~klass:0 i
+    Event_queue.add_tagged q ~tag:(tag i) ~arg:(arg_of i) ~time:(i mod 10)
+      ~klass:0 i
   done;
   Event_queue.add q ~time:0 ~klass:0 (-2);
   let wrong = ref 0 in
   while not (Event_queue.is_empty q) do
     let v = Event_queue.take q in
-    let expect = if v = -2 then 0 else tag v in
-    if Event_queue.taken_tag q <> expect then incr wrong
+    let tag, arg = if v = -2 then (0, 0) else (tag v, arg_of v) in
+    if Event_queue.taken_tag q <> tag || Event_queue.taken_arg q <> arg then
+      incr wrong
   done;
-  check tint "untagged events read tag 0, tagged ones their own" 0 !wrong
+  check tint "untagged events read tag and argument 0, tagged ones their own"
+    0 !wrong
+
+(* Arguments live in the payload slots: they must follow their events
+   through growth, from the overflow heap into the sliding ring, and
+   through the shrink that a drain after a burst does, then through the
+   regrowth of the shrunk queue. *)
+let test_queue_args_through_tiers () =
+  let q = Event_queue.create ~vacant:(-1) in
+  let round events =
+    (* times up to 5 windows ahead: most start in the heap and migrate *)
+    for i = 0 to events - 1 do
+      Event_queue.add_tagged q ~tag:i ~arg:(arg_of i)
+        ~time:(Event_queue.taken_time q + (i * 7919 mod 20_000))
+        ~klass:(i land 3) i
+    done;
+    let wrong = ref 0 in
+    for _ = 1 to events do
+      let v = Event_queue.take q in
+      if Event_queue.taken_arg q <> arg_of v || Event_queue.taken_tag q <> v
+      then incr wrong
+    done;
+    !wrong
+  in
+  check tint "a burst: every argument back" 0 (round 3000);
+  check tbool "the drain shrank the queue" true (Event_queue.capacity q <= 256);
+  check tint "again after the shrink" 0 (round 1000)
 
 (* Allocation pin for the service's dispatch loop: a warm queue that
-   keeps cycling tagged int events (take the minimum, re-add it later)
-   without ever draining allocates nothing per event — no option cell,
-   no result tuple, no boxed heap cell. *)
+   keeps cycling tagged int events with an argument (take the minimum,
+   re-add it later) without ever draining allocates nothing per event —
+   no option cell, no result tuple, no boxed heap cell. *)
 let test_queue_cycle_allocation () =
   let q = Event_queue.create ~vacant:(-1) in
   for i = 0 to 63 do
-    Event_queue.add_tagged q ~tag:7 ~time:i ~klass:(i land 3) i
+    Event_queue.add_tagged q ~tag:7 ~arg:i ~time:i ~klass:(i land 3) i
   done;
   let cycle events =
     for _ = 1 to events do
       let v = Event_queue.take q in
       let time = Event_queue.taken_time q and tag = Event_queue.taken_tag q in
-      Event_queue.add_tagged q ~tag ~time:(time + 1 + (v land 7))
+      let arg = Event_queue.taken_arg q in
+      Event_queue.add_tagged q ~tag ~arg:(arg + 1)
+        ~time:(time + 1 + (v land 7))
         ~klass:(v land 3) v
     done
   in
@@ -1154,6 +1201,7 @@ let () =
         [
           quick "taken fields follow (time, class, seq)" test_queue_taken_fields;
           quick "tags survive growth" test_queue_tags_through_growth;
+          quick "arguments through the tiers" test_queue_args_through_tiers;
           quick "float payloads" test_queue_float_payloads;
           quick "cycling allocates nothing per event"
             test_queue_cycle_allocation;

@@ -639,7 +639,18 @@ let test_spec_validation () =
   check tbool "an outage of one shard that never recovers, then another" true
     (invalid (windows [ (1, 5 * u, None); (1, 70 * u, Some (80 * u)) ]));
   check tbool "separate outages of one shard run" false
-    (invalid (windows [ (1, 5 * u, Some (9 * u)); (1, 10 * u, Some (30 * u)) ]))
+    (invalid (windows [ (1, 5 * u, Some (9 * u)); (1, 10 * u, Some (30 * u)) ]));
+  (* an event packs pids in 10 bits each and a send instant in the 42
+     bits above two of them *)
+  check tbool "a horizon past the packed send instant" true
+    (invalid { small with Commit_service.max_time = 1 lsl 42 });
+  check tbool "a horizon at the packed bound runs" false
+    (invalid { small with Commit_service.max_time = (1 lsl 42) - 1 });
+  check tbool "more shards than a packed pid holds" true
+    (try
+       ignore (Commit_service.run ~protocol:"inbac" ~n:1025 ~f:1 small);
+       false
+     with Invalid_argument _ -> true)
 
 (* Golden arm bodies: every admission, batching, wait and election
    decision of these runs shows in some counter or delay summary, so any
@@ -745,29 +756,45 @@ let test_startup_allocation () =
     true
     (s.Svc_history.minor_words_per_txn <= 20000.0)
 
-(* A commit instance allocates only what its protocol emits: on
-   perfbench's uniform shape (INBAC n=5 f=2, no admission waits) a
-   transaction costs ~540 minor words. Copying vote sets, a boxed Rng,
+(* A commit instance allocates little beyond what its protocol emits:
+   on perfbench's uniform shape (INBAC n=5 f=2, no admission waits) a
+   transaction costs ~342 minor words, about 275 of them in the
+   protocol's handlers. Event records, per-drive sinks, closure loops
+   in the lifecycle and a boxed batch, waiter and staging entry read
+   ~520 here and fail the ceiling; copying vote sets, a boxed Rng,
    INBAC's per-step rank lists and twice-wrapped service events read
-   ~1130 here and fail the ceiling. *)
-let test_uniform_allocation () =
-  let s =
-    Commit_service.run ~protocol:"inbac" ~n:5 ~f:2
-      {
-        Commit_service.default with
-        Commit_service.clients = 256;
-        txns = 2000;
-        keys = 65536;
-        zipf_s = 0.0;
-      }
-  in
+   ~1130. *)
+let allocation_shape ~keys ~zipf_s =
+  Commit_service.run ~protocol:"inbac" ~n:5 ~f:2
+    {
+      Commit_service.default with
+      Commit_service.clients = 256;
+      txns = 2000;
+      keys;
+      zipf_s;
+    }
+
+let check_allocation s ~shape ~ceiling =
   check tint "every transaction issued" 2000 s.Svc_history.transactions;
   check tint "none left unresolved" 0 s.Svc_history.parked;
   check tbool
-    (Printf.sprintf "%.0f minor words/txn on the uniform shape"
-       s.Svc_history.minor_words_per_txn)
+    (Printf.sprintf "%.0f minor words/txn on the %s shape"
+       s.Svc_history.minor_words_per_txn shape)
     true
-    (s.Svc_history.minor_words_per_txn <= 800.0)
+    (s.Svc_history.minor_words_per_txn <= ceiling)
+
+let test_uniform_allocation () =
+  check_allocation ~shape:"uniform" ~ceiling:410.0
+    (allocation_shape ~keys:65536 ~zipf_s:0.0)
+
+(* The same on perfbench's skewed shape (Zipf 0.8 over 2048 keys), where
+   most transactions wait on a holder, so admission's queues, batches and
+   launch checks allocate too: ~603 minor words per transaction, ~866
+   before the batch moved into its holder and the waiter into one
+   array. *)
+let test_skewed_allocation () =
+  check_allocation ~shape:"skewed" ~ceiling:720.0
+    (allocation_shape ~keys:2048 ~zipf_s:0.8)
 
 (* Svc_history's checks driven directly: every run above asserts
    atomicity_ok and agreement_ok, so these show that each check can fail.
@@ -777,7 +804,7 @@ let history_flags steps =
   let h = Svc_history.create ~txns:1 ~clients:1 ~flush_every:0 () in
   let ks = Keyspace.create ~n:3 ~keys:8 in
   Array.iter
-    (fun shard -> Keyspace.stage ks ~shard ~txn:7 ~writes:[| 1 |])
+    (fun shard -> Keyspace.stage ks ~shard ~txn:7 [| 1 |] ~writes:1)
     [| 0; 2 |];
   steps h ks;
   let s =
@@ -833,7 +860,7 @@ type stub = {
   ks : Keyspace.t;
   hist : Svc_history.t;
   adm : Svc_admission.t;
-  armed : Svc_admission.batch list ref;  (* newest first *)
+  armed : (int * int) list ref;  (* holder, serial; newest first *)
   launched : (int * int list) list ref;  (* holder, member ids *)
 }
 
@@ -844,45 +871,49 @@ let admission ?(max_batch = 8) ?(keys = 8) () =
   let adm =
     Svc_admission.create ~ks ~hist ~keys ~max_batch ~batch_window:(u / 2)
       ~wait_budget:64 ~pipeline_depth:64
-      ~launch:(fun _ h members ->
-        launched :=
-          (h, List.map (fun w -> w.Svc_admission.w_id) members) :: !launched)
+      ~launch:(fun _ h members count ->
+        let ids = List.init count (fun m -> members.(m).Svc_admission.w_id) in
+        launched := (h, ids) :: !launched)
       ~resubmit:(fun _ _ -> ())
-      ~arm:(fun _ b -> armed := b :: !armed)
+      ~arm:(fun _ h serial -> armed := (h, serial) :: !armed)
   in
   { ks; hist; adm; armed; launched }
 
 (* transaction [id] reading [reads] at their current versions, its keys
-   in draw order as the service draws them *)
+   laid out as the service lays them out *)
 let txn st ~id ?(reads = [||]) writes =
+  let nw = Array.length writes and nr = Array.length reads in
+  let owners = Array.make nw 0 in
   {
     Svc_admission.w_id = id;
     w_client = id;
     w_submitted = 0;
-    w_keys = Array.append reads writes;
-    w_sorted = false;
-    w_reads = reads;
-    w_read_vers = Array.map (Keyspace.version st.ks) reads;
-    w_writes = writes;
-    w_owners = Svc_admission.owners st.adm (Keyspace.owners st.ks writes);
+    w_keys =
+      Array.concat [ writes; reads; Array.map (Keyspace.version st.ks) reads ];
+    w_writes = nw;
+    w_reads = nr;
+    w_owners =
+      Svc_admission.owners st.adm owners
+        (Keyspace.owners st.ks writes nw owners);
     w_waits = 0;
+    w_by_name = [||];
   }
 
 let submit st ws = List.iter (Svc_admission.submit st.adm 0) ws
 
 (* a commit elsewhere moves [k]'s version: a read of it goes stale *)
 let bump st k =
-  Keyspace.stage st.ks ~shard:0 ~txn:1000 ~writes:[| k |];
+  Keyspace.stage st.ks ~shard:0 ~txn:1000 [| k |] ~writes:1;
   Keyspace.apply st.ks ~shard:0 ~txn:1000
 
 let last_armed st = List.hd !(st.armed)
-let launch st b = Svc_admission.launch_batch st.adm 0 b
+let launch st (h, serial) = Svc_admission.launch_batch st.adm 0 h serial
 let last_holder st = fst (List.hd !(st.launched))
 
 (* the instance of holder [h] decided, resolved and retired, as the
    lifecycle does it *)
-let resolve st h members =
-  Svc_admission.release st.adm ~shard:0 members;
+let resolve st h =
+  Svc_admission.release st.adm ~shard:0 h;
   Svc_admission.drain st.adm 0 h;
   Svc_admission.retire st.adm h
 
@@ -909,14 +940,14 @@ let test_admission_herd () =
   let writers = List.init 4 (fun i -> txn st ~id:(i + 1) [| 1 |]) in
   submit st writers;
   check counts "four writers queue on the instance" (4, 0, 0) (counters st);
-  resolve st h0 [ w0 ];
+  resolve st h0;
   check tint "re-admitted, they arm one batch" 2 (List.length !(st.armed));
   check counts "and three queue on it" (7, 0, 0) (counters st);
   launch st (last_armed st);
   check ids "its first writer launches alone" [ 1 ]
     (snd (List.hd !(st.launched)));
   check counts "nobody re-queues at launch" (7, 0, 0) (counters st);
-  resolve st (last_holder st) [ List.hd writers ];
+  resolve st (last_holder st);
   check ids "each wait ended once" [ 1; 2; 2; 2 ] (waits writers);
   check tint "the next batch" 3 (List.length !(st.armed))
 
@@ -982,7 +1013,7 @@ let test_admission_emptied_batch () =
   check counts "q waits on m's batch, a and a2 on i" (3, 0, 0) (counters st);
   bump st 7;
   bump st 5;
-  resolve st (last_holder st) [ i ];
+  resolve st (last_holder st);
   check counts "m and a abort, nobody re-queues" (3, 0, 2) (counters st);
   check ids "each waiter re-admitted once" [ 1; 1; 1 ] (waits [ q; a; a2 ]);
   check ids "q and a2 share the next instance" [ 2; 4 ]
@@ -1002,11 +1033,34 @@ let test_admission_name_order () =
   let w = txn st ~id:2 [| 9; 10 |] in
   submit st [ w ];
   check counts "it waits" (1, 0, 0) (counters st);
-  resolve st h9 [ w9 ];
+  resolve st h9;
   check ids "the holder of k9 resolving leaves it queued" [ 0 ] (waits [ w ]);
-  resolve st h10 [ w10 ];
+  resolve st h10;
   check ids "the holder of k10 wakes it" [ 1 ] (waits [ w ]);
   check counts "and it queues no more" (1, 0, 0) (counters st)
+
+(* A batch that fills launches before its window ends, so its window's
+   timer is still queued; once its instance retires, its holder id serves
+   a new batch. The old timer must not launch that batch: only the new
+   batch's own timer does. *)
+let test_admission_stale_window_timer () =
+  let st = admission ~max_batch:2 () in
+  submit st [ txn st ~id:0 [| 1 |]; txn st ~id:1 [| 2 |] ];
+  let stale = last_armed st in
+  check (Alcotest.list ids) "the batch filled and launched" [ [ 0; 1 ] ]
+    (List.map snd !(st.launched));
+  let h = last_holder st in
+  resolve st h;
+  submit st [ txn st ~id:2 [| 3 |] ];
+  let fresh = last_armed st in
+  check tint "the next batch reuses the holder id" h (fst fresh);
+  launch st stale;
+  check tint "the stale timer launches nothing" 1
+    (List.length !(st.launched));
+  launch st fresh;
+  check (Alcotest.list ids) "the batch's own timer launches it"
+    [ [ 2 ]; [ 0; 1 ] ]
+    (List.map snd !(st.launched))
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -1039,6 +1093,7 @@ let () =
           quick "golden arm bodies" test_golden_arm_bodies;
           quick "start-up allocation" test_startup_allocation;
           quick "uniform-shape allocation" test_uniform_allocation;
+          quick "skewed-shape allocation" test_skewed_allocation;
           prop qcheck_election_differential;
         ] );
       ( "queued-admission",
@@ -1063,6 +1118,8 @@ let () =
             test_admission_emptied_batch;
           quick "a waiter queues on its first held key by name"
             test_admission_name_order;
+          quick "a filled batch's window timer stays inert"
+            test_admission_stale_window_timer;
         ] );
       ( "history",
         [

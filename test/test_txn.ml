@@ -61,14 +61,21 @@ let test_keyspace_store () =
   check tint "owner is the placement of the name"
     (Pid.index (Txn_system.placement_key ~n ("k" ^ string_of_int b)))
     sb;
+  let owners keys n =
+    let into = Array.make 4 (-1) in
+    Array.sub into 0 (Keyspace.owners ks keys n into)
+  in
   check (Alcotest.array tint) "owners: distinct, ascending"
     [| min sa sb; max sa sb |]
-    (Keyspace.owners ks [| b; a; b; a |]);
+    (owners [| b; a; b; a |] 4);
   check (Alcotest.array tint) "owners of one shard's keys" [| sa |]
-    (Keyspace.owners ks [| a; a |]);
-  Keyspace.stage ks ~shard:sa ~txn:7 ~writes:[| a; b |];
-  Keyspace.stage ks ~shard:sb ~txn:7 ~writes:[| a; b |];
-  Keyspace.stage ks ~shard:sa ~txn:8 ~writes:[| a |];
+    (owners [| a; a |] 2);
+  check (Alcotest.array tint) "owners of a prefix" [| sb |]
+    (owners [| b; a |] 1);
+  (* txn 7 writes a and b; txn 8's keys lead with its one write, a *)
+  Keyspace.stage ks ~shard:sa ~txn:7 [| a; b |] ~writes:2;
+  Keyspace.stage ks ~shard:sb ~txn:7 [| a; b |] ~writes:2;
+  Keyspace.stage ks ~shard:sa ~txn:8 [| a; b |] ~writes:1;
   check tbool "staged at a's owner" true (Keyspace.staged ks ~shard:sa ~txn:7);
   check tint "two entries at a's owner" 2 (Keyspace.staged_count ks ~shard:sa);
   Keyspace.apply ks ~shard:sa ~txn:7;
@@ -81,11 +88,81 @@ let test_keyspace_store () =
   check tint "b's owner installs b" 1 (Keyspace.version ks b);
   Keyspace.discard ks ~shard:sa ~txn:8;
   check tint "discard installs nothing" 1 (Keyspace.version ks a);
+  Keyspace.stage ks ~shard:sb ~txn:9 [| b; a |] ~writes:1;
+  Keyspace.apply ks ~shard:sb ~txn:9;
+  check tint "apply installs the writes only" 2 (Keyspace.version ks b);
   check tint "drained" 0
     (Keyspace.staged_count ks ~shard:sa + Keyspace.staged_count ks ~shard:sb);
   Alcotest.match_raises "keys above max_keys"
     (function Invalid_argument _ -> true | _ -> false)
     (fun () -> ignore (Keyspace.create ~n ~keys:(Keyspace.max_keys + 1)))
+
+(* The flat staging tables against a map from (shard, txn) to the staged
+   keys: transaction numbers that collide modulo the table's 64 starting
+   slots, entries dropped from the middle of a probe run, runs that wrap
+   past the last slot, and growth. Every step compares each shard's
+   count and each number's membership; applies compare the versions. *)
+let prop_staging_model =
+  let n = 2 and keys = 8 in
+  let txn =
+    QCheck.Gen.(
+      map2 (fun k r -> (k * 64) + r) (int_range 0 40) (oneofl [ 0; 1; 62; 63 ]))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map3
+              (fun s x w -> `Stage (s, x, w))
+              (int_range 0 (n - 1)) txn (int_range 1 3) );
+          (1, map2 (fun s x -> `Apply (s, x)) (int_range 0 (n - 1)) txn);
+          (1, map2 (fun s x -> `Discard (s, x)) (int_range 0 (n - 1)) txn);
+        ])
+  in
+  QCheck.Test.make ~count:200 ~name:"staging tables match a map model"
+    QCheck.(make Gen.(list_size (int_range 0 600) op))
+    (fun ops ->
+      let ks = Keyspace.create ~n ~keys in
+      let model = Hashtbl.create 64 and versions = Array.make keys 0 in
+      (* a transaction's keys: its writes lead, then keys it only reads *)
+      let keys_of x = Array.init 4 (fun j -> (x + j) mod keys) in
+      let agrees () =
+        List.for_all
+          (fun s ->
+            Keyspace.staged_count ks ~shard:s
+            = Hashtbl.fold
+                (fun (s', _) _ c -> if s' = s then c + 1 else c)
+                model 0)
+          [ 0; 1 ]
+        && Hashtbl.fold
+             (fun (s, x) _ ok -> ok && Keyspace.staged ks ~shard:s ~txn:x)
+             model true
+        && Array.for_all Fun.id
+             (Array.init keys (fun k -> Keyspace.version ks k = versions.(k)))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Stage (s, x, w) ->
+              Keyspace.stage ks ~shard:s ~txn:x (keys_of x) ~writes:w;
+              Hashtbl.replace model (s, x) w
+          | `Apply (s, x) ->
+              (match Hashtbl.find_opt model (s, x) with
+              | Some w ->
+                  Array.iteri
+                    (fun j k ->
+                      if j < w && Keyspace.owner ks k = s then
+                        versions.(k) <- versions.(k) + 1)
+                    (keys_of x);
+                  Hashtbl.remove model (s, x)
+              | None -> ());
+              Keyspace.apply ks ~shard:s ~txn:x
+          | `Discard (s, x) ->
+              Hashtbl.remove model (s, x);
+              Keyspace.discard ks ~shard:s ~txn:x);
+          agrees ())
+        ops)
 
 let name i = "k" ^ string_of_int i
 let sign x = compare x 0
@@ -817,6 +894,7 @@ let () =
         [
           quick "dense store" test_keyspace_store;
           quick "name order prefixes" test_name_order_prefixes;
+          prop prop_staging_model;
           prop prop_placement_index;
           prop prop_name_order;
         ] );
